@@ -3,8 +3,10 @@
 
 Runs the (alpha, shots) grid of configs/desk_mode.json (or a config given
 with --config), analyzes the records into metric tables, and dumps
-quality-diagram data for every configuration. Everything lands under the
-output directory:
+quality-diagram data for every configuration. Each step is the matching
+``vqabench`` subcommand (``run --resume``, ``analyze``, one ``plot-data`` per
+config id), so output and exit status are the CLI's. Everything lands under
+the output directory:
 
     records.jsonl  config.json  timings.jsonl
     tables/metrics.csv + table_*.csv + selected.csv
@@ -19,13 +21,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from vqabench.harness import (
-    analyze,
-    config_id,
-    emit_quality_diagram_data,
-    load_config,
-    run_experiment,
-)
+from vqabench import cli
+from vqabench.harness import RECORDS_FILENAME, config_id, load_config
 
 
 def main() -> int:
@@ -36,30 +33,23 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args()
 
+    records = os.path.join(args.out, RECORDS_FILENAME)
+    steps = [
+        ["run", "--config", args.config, "--out", args.out,
+         "--workers", str(args.workers), "--resume"],
+        ["analyze", "--records", records, "--config", args.config,
+         "--out-tables", os.path.join(args.out, "tables")],
+    ]
     cfg = load_config(args.config)
-    n_total = len(cfg.alphas) * len(cfg.shots_grid) * cfg.runs_per_config
-    print(f"running {n_total} optimizations on {args.workers} workers ...")
-    records = run_experiment(cfg, args.out, workers=args.workers, resume=True)
-    n_failed = sum(1 for r in records if r.error is not None)
-    print(f"done: {len(records)} records ({n_failed} failed)")
-
-    reports = analyze(records, cfg, out_dir=os.path.join(args.out, "tables"))
-    for cid in sorted(reports, key=lambda c: (reports[c].alpha, reports[c].shots)):
-        rep = reports[cid]
-        print(
-            f"  {cid}: F={rep.feasibility.value:.2f}±{rep.feasibility.half_width:.2f}  "
-            f"Q={rep.quality.value:.2f}±{rep.quality.half_width:.2f}  "
-            f"R={rep.reproducibility.value:.2f}±{rep.reproducibility.half_width:.2f}  "
-            f"-> {rep.verdict.value}"
-        )
-
     for alpha in cfg.alphas:
         for shots in cfg.shots_grid:
             cid = config_id(alpha, shots)
-            emit_quality_diagram_data(
-                records, cfg, cid, os.path.join(args.out, "diagrams", cid)
-            )
-    print(f"tables and diagram data under {args.out}")
+            steps.append(["plot-data", "--records", records, "--config", args.config,
+                          "--config-id", cid, "--out", os.path.join(args.out, "diagrams", cid)])
+    for argv in steps:
+        status = cli.main(argv)
+        if status != 0:
+            return status
     return 0
 
 

@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from .circuit import AnsatzSpec, build_statevector, sample_bitstrings
-from .qubo import QuboInstance, _bit_block
 
 
 def cvar_tail_count(n_samples: int, alpha: float) -> int:
@@ -43,27 +42,19 @@ def cvar(costs: np.ndarray, alpha: float) -> float:
 def cost_estimate(
     spec: AnsatzSpec,
     params: np.ndarray,
-    q: QuboInstance,
+    cost_table: np.ndarray,
     alpha: float,
     shots: int,
     rng: np.random.Generator,
-    cost_table: np.ndarray | None = None,
 ) -> float:
     """One objective evaluation: build, sample, price, CVaR.
 
     Builds the ansatz state for ``params``, samples ``shots`` bitstrings,
-    maps each to its QUBO cost, and returns the CVaR_alpha of the sample.
-    One invocation corresponds to one quantum circuit evaluated when counting
-    optimizer calls. ``cost_table`` (costs of all 2^N bitstrings by basis
-    index, e.g. from qubo.all_costs) turns pricing into a lookup; without it
-    the sampled bitstrings are evaluated directly.
+    prices each by lookup in ``cost_table`` (the QUBO costs of all 2^N
+    bitstrings by basis index, from qubo.all_costs), and returns the
+    CVaR_alpha of the sample. One invocation corresponds to one quantum
+    circuit evaluated when counting optimizer calls.
     """
     state = build_statevector(spec, params)
     samples = sample_bitstrings(state, shots, rng)
-    if cost_table is not None:
-        costs = cost_table[samples]
-    else:
-        uniq, inverse = np.unique(samples, return_inverse=True)
-        bits = _bit_block(uniq, q.dimension)
-        costs = np.einsum("ij,jk,ik->i", bits, q.matrix, bits)[inverse]
-    return cvar(costs, alpha)
+    return cvar(cost_table[samples], alpha)

@@ -20,12 +20,14 @@ stochasticity enters only through the sampling stream of the cost estimate.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import logging
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 
@@ -292,9 +294,7 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
         rng = np.random.default_rng(seed)
 
         def objective(params: np.ndarray) -> float:
-            return cost_estimate(
-                ctx.spec, params, ctx.qubo, alpha, shots, rng, cost_table=ctx.cost_table
-            )
+            return cost_estimate(ctx.spec, params, ctx.cost_table, alpha, shots, rng)
 
         result = minimize(objective, ctx.initial_params, ctx.settings)
         state = build_statevector(ctx.spec, result.final_params)
@@ -467,16 +467,14 @@ def analyze(
     selected-set listing of accepted configurations.
     """
     dists = build_distributions(records, cfg)
+    n_failed = Counter(r.config_id for r in records if r.error is not None)
     reports: dict[str, MetricsReport] = {}
     for cid, dist in dists.items():
         alpha, shots = _parse_config_id(cid)
-        n_failed = sum(
-            1 for r in records if r.config_id == cid and r.error is not None
-        )
         if len(dist) < 2:
             log.warning(
                 "config %s skipped: %d successful runs (%d failed)",
-                cid, len(dist), n_failed,
+                cid, len(dist), n_failed[cid],
             )
             continue
         reports[cid] = compute_report(
@@ -504,26 +502,21 @@ def _parse_config_id(cid: str) -> tuple[float, int]:
 
 def write_metrics_csv(reports: dict[str, MetricsReport], path: str) -> None:
     rows = sorted(reports.values(), key=lambda r: (r.alpha, r.shots))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(METRICS_CSV_COLUMNS) + "\n")
-        for rep in rows:
-            fh.write(",".join(str(v) for v in rep.to_csv_row()) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(METRICS_CSV_COLUMNS)
+        writer.writerows(rep.to_csv_row() for rep in rows)
 
 
 def read_metrics_csv(path: str) -> list[dict]:
     """Rows of a metrics.csv as dicts with numeric fields parsed."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            if not line.strip():
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        for key in row:
+            if key in ("config_id", "verdict"):
                 continue
-            raw = dict(zip(header, line.strip().split(",")))
-            for key in header:
-                if key in ("config_id", "verdict"):
-                    continue
-                raw[key] = int(raw[key]) if key in ("shots", "n_runs") else float(raw[key])
-            rows.append(raw)
+            row[key] = int(row[key]) if key in ("shots", "n_runs") else float(row[key])
     return rows
 
 

@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vqabench.cli import main
-from vqabench.harness import save_config
+from vqabench.harness import config_id, save_config
 from vqabench.metrics import Verdict
 
 from test_harness import tiny_config
@@ -119,3 +122,22 @@ class TestPlotData:
         ])
         assert code == 2
         assert "unknown config" in json.loads(capsys.readouterr().err)["detail"]
+
+
+class TestDeskScript:
+    def test_runs_analyzes_and_dumps_every_config(self, tmp_path):
+        cfg = tiny_config()
+        cfg_path = tmp_path / "cfg.json"
+        save_config(cfg, str(cfg_path))
+        out = tmp_path / "out"
+        script = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_experiment.py"
+        subprocess.run(
+            [sys.executable, str(script), "--config", str(cfg_path), "--out", str(out),
+             "--workers", "1"],
+            check=True,
+            timeout=300,
+        )
+        assert (out / "tables" / "metrics.csv").exists()
+        for alpha in cfg.alphas:
+            for shots in cfg.shots_grid:
+                assert (out / "diagrams" / config_id(alpha, shots) / "scatter.csv").exists()

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqabench.circuit import AnsatzSpec, build_statevector, exact_probabilities
+from vqabench.circuit import (
+    AnsatzSpec,
+    build_statevector,
+    exact_probabilities,
+    sample_bitstrings,
+)
 from vqabench.cost import cost_estimate, cvar, cvar_tail_count
-from vqabench.qubo import QuboInstance, all_costs, evaluate, random_qubo
+from vqabench.qubo import QuboInstance, all_costs, evaluate, index_to_bits, random_qubo
 
 finite_floats = st.floats(-1e6, 1e6, allow_nan=False)
 
@@ -67,7 +72,8 @@ class TestCostEstimate:
         spec = AnsatzSpec(3, 1)
         for alpha, shots in [(0.25, 10), (1.0, 100)]:
             value = cost_estimate(
-                spec, np.zeros(spec.num_parameters), q, alpha, shots, np.random.default_rng(0)
+                spec, np.zeros(spec.num_parameters), all_costs(q), alpha, shots,
+                np.random.default_rng(0),
             )
             assert value == 0.0
 
@@ -75,7 +81,7 @@ class TestCostEstimate:
         q = random_qubo(4, seed=8)
         spec = AnsatzSpec(4, 1)
         value = cost_estimate(
-            spec, np.zeros(spec.num_parameters), q, 0.5, 64, np.random.default_rng(3)
+            spec, np.zeros(spec.num_parameters), all_costs(q), 0.5, 64, np.random.default_rng(3)
         )
         assert value == pytest.approx(evaluate(q, (0, 0, 0, 0)), abs=1e-12)
 
@@ -89,15 +95,19 @@ class TestCostEstimate:
         table = all_costs(q)
         exact_mean = float(probs @ table)
         exact_var = float(probs @ (table - exact_mean) ** 2)
-        value = cost_estimate(spec, params, q, 1.0, shots, np.random.default_rng(6))
+        value = cost_estimate(spec, params, table, 1.0, shots, np.random.default_rng(6))
         assert abs(value - exact_mean) < 3 * np.sqrt(exact_var / shots)
 
     def test_cost_table_matches_direct_evaluation(self):
+        # Oracle: draw the same seeded samples and price each with evaluate.
         q = random_qubo(5, seed=13)
         spec = AnsatzSpec(5, 1)
         params = np.random.default_rng(7).uniform(-1, 1, spec.num_parameters)
         with_table = cost_estimate(
-            spec, params, q, 0.5, 500, np.random.default_rng(42), cost_table=all_costs(q)
+            spec, params, all_costs(q), 0.5, 500, np.random.default_rng(42)
         )
-        without = cost_estimate(spec, params, q, 0.5, 500, np.random.default_rng(42))
-        assert with_table == pytest.approx(without, abs=1e-12)
+        samples = sample_bitstrings(
+            build_statevector(spec, params), 500, np.random.default_rng(42)
+        )
+        direct = [evaluate(q, index_to_bits(int(x), q.dimension)) for x in samples]
+        assert with_table == pytest.approx(cvar(direct, 0.5), abs=1e-12)
