@@ -30,6 +30,7 @@ import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -325,9 +326,9 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
 _WORKER_CTX: _RunContext | None = None
 
 
-def _worker_init(cfg_doc: dict) -> None:
+def _worker_init(cfg: ExperimentConfig) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = prepare_context(ExperimentConfig.from_dict(cfg_doc))
+    _WORKER_CTX = prepare_context(cfg)
 
 
 def _worker_run(task: tuple[float, int, int]) -> RunRecord:
@@ -347,6 +348,18 @@ def load_records(path: str) -> list[RunRecord]:
             if line:
                 records.append(RunRecord.from_dict(json.loads(line)))
     return records
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Truncate a records file back to its last newline.
+
+    A crash mid-write can leave an incomplete last line; cutting it lets the
+    resumed run append its records on a clean line. Complete lines are kept,
+    so one that fails to parse still raises in load_records.
+    """
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        fh.truncate(data.rfind(b"\n") + 1)
 
 
 def _rewrite_canonical(records: list[RunRecord], path: str) -> None:
@@ -373,6 +386,7 @@ def run_experiment(
 
     existing: list[RunRecord] = []
     if resume and os.path.exists(records_path):
+        _drop_torn_tail(records_path)
         existing = load_records(records_path)
     elif os.path.exists(records_path):
         os.remove(records_path)
@@ -388,7 +402,7 @@ def run_experiment(
 
     records = list(existing)
     with open(records_path, "a", encoding="utf-8") as rec_fh, open(
-        timings_path, "a", encoding="utf-8"
+        timings_path, "a" if resume else "w", encoding="utf-8"
     ) as time_fh:
 
         def sink(rec: RunRecord) -> None:
@@ -412,9 +426,8 @@ def run_experiment(
             for task in tasks:
                 sink(run_single(ctx, *task))
         else:
-            cfg_doc = cfg.to_dict()
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=(cfg_doc,)
+                max_workers=workers, initializer=_worker_init, initargs=(cfg,)
             ) as pool:
                 futures = [pool.submit(_worker_run, task) for task in tasks]
                 for fut in as_completed(futures):
@@ -429,12 +442,9 @@ def build_distributions(
 ) -> dict[str, VqaDistribution]:
     """Group successful records into per-configuration run ensembles."""
     grouped: dict[str, list[RunOutcome]] = {}
-    keys: dict[str, tuple[float, int]] = {}
     for alpha in cfg.alphas:
         for shots in cfg.shots_grid:
-            cid = config_id(alpha, shots)
-            grouped[cid] = []
-            keys[cid] = (alpha, shots)
+            grouped[config_id(alpha, shots)] = []
     for rec in records:
         if rec.error is not None:
             continue
@@ -469,8 +479,9 @@ def analyze(
     dists = build_distributions(records, cfg)
     n_failed = Counter(r.config_id for r in records if r.error is not None)
     reports: dict[str, MetricsReport] = {}
-    for cid, dist in dists.items():
-        alpha, shots = _parse_config_id(cid)
+    for alpha, shots in product(cfg.alphas, cfg.shots_grid):
+        cid = config_id(alpha, shots)
+        dist = dists[cid]
         if len(dist) < 2:
             log.warning(
                 "config %s skipped: %d successful runs (%d failed)",
@@ -493,11 +504,6 @@ def analyze(
             )
         _write_selected(reports, os.path.join(out_dir, "selected.csv"))
     return reports
-
-
-def _parse_config_id(cid: str) -> tuple[float, int]:
-    parts = dict(kv.split("=") for kv in cid.split("_"))
-    return float(parts["alpha"]), int(parts["shots"])
 
 
 def write_metrics_csv(reports: dict[str, MetricsReport], path: str) -> None:

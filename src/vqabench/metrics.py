@@ -20,7 +20,8 @@ rejects it.
 
 The feasibility definition and the quality gate both use >= at the threshold,
 so being feasible and having nonzero quality coincide on the boundary.
-Intervals use the standard normal quantile, z(95%) = 1.959964.
+Intervals use the two-sided standard normal quantile, z(95%) = 1.959964, taken
+from the standard library's ``statistics.NormalDist().inv_cdf``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
 #: Bins per diagram axis; the entropy normalization uses K = GRID_BINS**2.
 GRID_BINS = 10
@@ -173,7 +174,7 @@ def z_value(confidence: float) -> float:
     """Two-sided standard normal quantile for a confidence level."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    return float(norm.ppf(0.5 * (1.0 + confidence)))
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
 def normalize(outcome: RunOutcome, n_max: int) -> DiagramPoint:

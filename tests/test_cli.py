@@ -1,12 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import vqabench
 from vqabench.cli import main
 from vqabench.harness import config_id, save_config
 from vqabench.metrics import Verdict
@@ -141,3 +143,11 @@ class TestDeskScript:
         for alpha in cfg.alphas:
             for shots in cfg.shots_grid:
                 assert (out / "diagrams" / config_id(alpha, shots) / "scatter.csv").exists()
+
+
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(vqabench.__file__).resolve().parents[1])
+        code = "import sys, vqabench.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)

@@ -153,6 +153,32 @@ class TestRunExperiment:
         run_experiment(tiny_config(), str(out), resume=True)
         assert records_path.read_bytes() == full
 
+    def test_resume_after_torn_last_line(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        full = records_path.read_bytes()
+
+        records_path.write_bytes(full[:-30])  # a crash mid-write tears the last record
+        run_experiment(tiny_config(), str(out), resume=True)
+        assert records_path.read_bytes() == full
+
+    def test_resume_rejects_a_corrupt_complete_line(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        lines = records_path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3][:20] + "\n"
+        records_path.write_text("".join(lines))
+        with pytest.raises(json.JSONDecodeError):
+            run_experiment(tiny_config(), str(out), resume=True)
+
+    def test_fresh_rerun_resets_timings(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        run_experiment(tiny_config(), str(out))
+        assert len((out / "timings.jsonl").read_text().splitlines()) == 12
+
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"
         run_experiment(tiny_config(), str(a), workers=1)
@@ -193,6 +219,12 @@ class TestAnalyze:
         est = reports[config_id(0.25, 20)].feasibility
         assert est.value == pytest.approx(0.70)
         assert est.half_width == pytest.approx(1.959964 * math.sqrt(0.7 * 0.3 / 400), abs=1e-6)
+
+    def test_alpha_reported_as_configured(self):
+        cfg = tiny_config(alphas=[0.123456789, 1.0], runs_per_config=4)
+        records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
+        report = analyze(records, cfg)[config_id(0.123456789, 20)]
+        assert report.alpha == 0.123456789
 
     def test_identical_records_fully_reproducible(self):
         cfg = tiny_config(runs_per_config=50)

@@ -56,6 +56,13 @@ class TestZValue:
         with pytest.raises(ValueError, match="confidence"):
             z_value(confidence)
 
+    def test_matches_scipy_reference(self):
+        from scipy.stats import norm
+
+        for confidence in np.linspace(0.001, 0.999, 999):
+            expected = norm.ppf(0.5 * (1.0 + confidence))
+            assert z_value(confidence) == pytest.approx(expected, rel=4e-15)
+
 
 class TestNormalize:
     def test_ideal_run_maps_to_origin(self):
