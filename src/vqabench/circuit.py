@@ -13,16 +13,25 @@ go through :mod:`vqabench.qubo` helpers, which share the convention.
 
 RY(theta) has rows (cos t/2, -sin t/2) and (sin t/2, cos t/2) and CNOT only
 permutes amplitudes, so every state reachable by the ansatz is real: states
-are dense ``float64`` arrays of 2^N amplitudes. The whole entangler is one
-permutation of basis indices. CNOT(i, i+1) for i = N-2, ..., 0 XORs each
-target bit i+1 with bit i before bit i is itself touched, so the chain maps
-index x to ``x ^ ((x << 1) & (2^N - 1))``. Memory bounds building at
-N <= 24: 8 B per amplitude (128 MiB at N = 24), plus the index map (another
-8 B per amplitude) and per-gate temporaries.
+are dense ``float64`` arrays of 2^N amplitudes.
+
+The first RY layer acts on |0...0>, so it is built in closed form as a
+product state: qubit i scales the 2^i amplitudes built so far by cos and by
+sin of theta_i / 2 (``math.cos``/``math.sin``, exactly as the per-gate
+update), giving the bit-i = 0 and bit-i = 1 halves. Later layers apply RY
+gate by gate. The whole entangler is one permutation of basis indices.
+CNOT(i, i+1) for i = N-2, ..., 0 XORs each target bit i+1 with bit i before
+bit i is itself touched, so the chain maps index x to
+``x ^ ((x << 1) & (2^N - 1))``; it is applied as a gather through the
+inverse map, built once per N, cached read-only as int32. Memory bounds
+building at N <= 24: 8 B per amplitude (128 MiB at N = 24), plus the cached
+map (4 B per amplitude, 64 MiB at N = 24, kept for the life of the process),
+the gather's copies and per-gate temporaries.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -60,6 +69,20 @@ def _apply_ry(state: np.ndarray, qubit: int, angle: float) -> None:
     psi[:, 1, :] = s * a0 + c * psi[:, 1, :]
 
 
+@functools.lru_cache(maxsize=None)
+def _entangler_source(n: int) -> np.ndarray:
+    """Read-only int32 gather map of the entangler: new[y] = old[src[y]].
+
+    The chain moves amplitude x to ``x ^ ((x << 1) & (2^N - 1))``; ``src`` is
+    the inverse of that permutation.
+    """
+    x = np.arange(1 << n, dtype=np.int32)
+    src = np.empty_like(x)
+    src[x ^ ((x << 1) & ((1 << n) - 1))] = x
+    src.flags.writeable = False
+    return src
+
+
 def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     """Statevector prepared by the ansatz from |0...0> for one angle vector."""
     n = spec.n_qubits
@@ -73,13 +96,18 @@ def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
 
-    state = np.zeros(1 << n, dtype=np.float64)
+    # Layer 0 acts on |0...0>, so it prepares a product state: qubit i splits
+    # each of the 2^i amplitudes built so far into its cos part (bit i = 0)
+    # and its sin part (bit i = 1), the same products _apply_ry would form.
+    state = np.empty(1 << n, dtype=np.float64)
     state[0] = 1.0
-    x = np.arange(1 << n)
-    entangler = x ^ ((x << 1) & ((1 << n) - 1))  # amplitude x moves to entangler[x]
-    for layer in range(spec.reps + 1):
-        if layer > 0:
-            state[entangler] = state.copy()
+    for i in range(n):
+        half = float(theta[i]) / 2.0
+        built = state[: 1 << i]
+        np.multiply(built, math.sin(half), out=state[1 << i : 2 << i])
+        built *= math.cos(half)
+    for layer in range(1, spec.reps + 1):
+        state = state[_entangler_source(n)]
         for i in range(n):
             _apply_ry(state, qubit=i, angle=float(theta[layer * n + i]))
 
@@ -98,13 +126,36 @@ def exact_probabilities(state: np.ndarray) -> np.ndarray:
 def sample_bitstrings(state: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Draw measurement outcomes from a state as an array of basis indices.
 
-    Identical (state, shots, generator state) yields identical samples; use
-    index_to_bits for the tuple form of an outcome.
+    Consumes exactly ``shots`` uniforms from ``rng.random`` and returns the
+    same int64 indices as ``rng.choice(len(p), size=shots, p=p / p.sum())``
+    with p the Born probabilities, leaving the generator in the same state:
+    each draw u maps to the number of CDF entries <= u. Identical (state,
+    shots, generator state) yields identical samples; use index_to_bits for
+    the tuple form of an outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     p = exact_probabilities(state)
-    return rng.choice(len(p), size=shots, p=p / p.sum())
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    u = rng.random(shots)
+    if shots < len(cdf):
+        return cdf.searchsorted(u, side="right")
+    # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power of
+    # two, so u * k and cdf * k are exact and bucket b = floor(u * k) holds
+    # the CDF entries in [b / k, (b + 1) / k). The entries below the bucket
+    # are all <= u and those above it all exceed u; a bucket holding one
+    # entry needs one comparison, and a fuller one a binary search. An empty
+    # bucket's next entry lies above it, so the comparison is False there.
+    k = 2 * len(cdf)
+    count = np.bincount((cdf * k).astype(np.intp), minlength=k + 1)
+    below = np.cumsum(count) - count
+    b = (u * k).astype(np.intp)
+    idx = below[b]
+    idx += cdf[idx] <= u
+    many = count[b] > 1
+    idx[many] = cdf.searchsorted(u[many], side="right")
+    return idx
 
 
 def exact_p_min(state: np.ndarray, q: QuboInstance) -> float:

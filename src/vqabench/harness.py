@@ -91,6 +91,13 @@ class ExperimentConfig:
         for s in self.shots_grid:
             if s < 1:
                 raise ValueError(f"shots must be >= 1, got {s}")
+        ids = Counter(config_id(a, s) for a in self.alphas for s in self.shots_grid)
+        shared = sorted(cid for cid, n in ids.items() if n > 1)
+        if shared:
+            raise ValueError(
+                f"grid cells share config ids {shared}: alphas must differ within "
+                "six significant digits and no alpha or shots value may repeat"
+            )
         if self.runs_per_config < 1:
             raise ValueError("runs_per_config must be >= 1")
         if not 0.0 < self.p_threshold < 1.0:
@@ -178,6 +185,10 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 def config_id(alpha: float, shots: int) -> str:
     # underscore-separated so the id stays a single CSV field and shell token
     return f"alpha={alpha:g}_shots={shots}"
+
+
+def _config_digest(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def run_seed(master_seed: int, cid: str, run_index: int) -> int:
@@ -377,12 +388,23 @@ def run_experiment(
 
     Runs execute concurrently over ``workers`` processes; the final records
     file is identical for any worker count. With ``resume``, runs already in
-    the records file are skipped and only missing ones are computed.
+    the records file are skipped and only missing ones are computed; a
+    config that differs from the snapshot in out_dir raises ValueError
+    before any file is touched.
     """
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
-    save_config(cfg, os.path.join(out_dir, CONFIG_SNAPSHOT_FILENAME))
+    snapshot_path = os.path.join(out_dir, CONFIG_SNAPSHOT_FILENAME)
+    if resume and os.path.exists(snapshot_path):
+        with open(snapshot_path, encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        if _config_digest(snapshot) != _config_digest(cfg.to_dict()):
+            raise ValueError(
+                f"cannot resume in {out_dir}: the config differs from its snapshot "
+                f"{CONFIG_SNAPSHOT_FILENAME}; rerun without --resume or use a new directory"
+            )
+    save_config(cfg, snapshot_path)
 
     existing: list[RunRecord] = []
     if resume and os.path.exists(records_path):

@@ -2,7 +2,10 @@
 
 The reference oracle builds the full 2^N x 2^N circuit unitary from Kronecker
 products and explicit CNOT permutation matrices, a completely separate code
-path from the stride updates and entangler index map under test.
+path from the stride updates and entangler index map under test. Two more
+oracles pin the fast paths bit for bit: the gate-by-gate build (every RY
+layer as a stride update, the entangler as a scatter) and ``Generator.choice``
+for the sampler's draws and generator stream.
 """
 
 import math
@@ -15,6 +18,7 @@ from scipy.stats import chisquare
 
 from vqabench.circuit import (
     AnsatzSpec,
+    _entangler_source,
     build_statevector,
     exact_p_min,
     exact_probabilities,
@@ -53,6 +57,33 @@ def reference_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
         for i in range(n):
             state = single_qubit_unitary(ry_matrix(params[layer * n + i]), i, n) @ state
     return state
+
+
+def per_gate_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
+    """Oracle: every RY gate as an in-place stride update from |0...0>, and the
+    entangler as a scatter of amplitude x to x ^ ((x << 1) & (2^N - 1))."""
+    n = spec.n_qubits
+    state = np.zeros(1 << n)
+    state[0] = 1.0
+    x = np.arange(1 << n)
+    entangler = x ^ ((x << 1) & ((1 << n) - 1))
+    for layer in range(spec.reps + 1):
+        if layer > 0:
+            state[entangler] = state.copy()
+        for i in range(n):
+            angle = float(params[layer * n + i])
+            c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+            psi = state.reshape(-1, 2, 1 << i)
+            a0 = psi[:, 0, :].copy()
+            psi[:, 0, :] = c * a0 - s * psi[:, 1, :]
+            psi[:, 1, :] = s * a0 + c * psi[:, 1, :]
+    return state
+
+
+def choice_oracle(state: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Oracle: numpy's own weighted draw over the Born probabilities."""
+    p = exact_probabilities(state)
+    return rng.choice(len(p), size=shots, p=p / p.sum())
 
 
 class TestBuildStatevector:
@@ -117,6 +148,24 @@ class TestBuildStatevector:
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) < 1e-10
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_equals_per_gate_build_bit_for_bit(self, n, reps, seed):
+        spec = AnsatzSpec(n, reps)
+        params = np.random.default_rng(seed).uniform(-7, 7, spec.num_parameters)
+        assert np.array_equal(build_statevector(spec, params), per_gate_statevector(spec, params))
+
+    def test_entangler_map_is_cached_read_only_inverse(self):
+        n = 5
+        src = _entangler_source(n)
+        assert src is _entangler_source(n)
+        assert src.dtype == np.int32
+        with pytest.raises(ValueError, match="read-only"):
+            src[0] = 1
+        x = np.arange(1 << n)
+        assert np.array_equal(src[x ^ ((x << 1) & ((1 << n) - 1))], x)
+
+
 class TestExactProbabilities:
     def test_vacuum_is_point_mass(self):
         state = build_statevector(AnsatzSpec(3, 1), np.zeros(6))
@@ -160,6 +209,41 @@ class TestSampling:
         state = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="shots"):
             sample_bitstrings(state, 0, np.random.default_rng(0))
+
+    @staticmethod
+    def _state(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+        d = 1 << n
+        if kind == "point":
+            state = np.zeros(d)
+            state[rng.integers(d)] = 1.0
+        elif kind == "spread":
+            state = build_statevector(AnsatzSpec(n, 1), rng.uniform(-math.pi, math.pi, 2 * n))
+        elif kind == "zeros":  # exact-zero probabilities, runs of equal CDF entries
+            state = rng.uniform(-1, 1, d) * (rng.random(d) < 0.4)
+            state[rng.integers(d)] = 0.5
+        else:  # peaked: one outcome carries most of the mass
+            state = rng.random(d) ** 8
+            state[rng.integers(d)] = 4.0
+        return state / np.linalg.norm(state)
+
+    @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread"])
+    @pytest.mark.parametrize("n", [1, 4, 10])
+    @pytest.mark.parametrize(
+        "shots_of",
+        [lambda d: 1, lambda d: d - 1, lambda d: d, lambda d: 3 * d + 1],
+        ids=["1", "2^N-1", "2^N", "3*2^N+1"],
+    )
+    def test_equals_generator_choice_stream(self, kind, n, shots_of):
+        rng = np.random.default_rng(n)
+        state = self._state(kind, n, rng)
+        shots = shots_of(1 << n)
+        seed = int(rng.integers(2**63))
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = sample_bitstrings(state, shots, ours)
+        expected = choice_oracle(state, shots, theirs)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert ours.random() == theirs.random()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chisquare_against_exact_probabilities(self, seed):

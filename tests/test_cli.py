@@ -50,6 +50,22 @@ class TestRun:
         b = (tmp_path / "b" / "records.jsonl").read_bytes()
         assert a == b
 
+    def test_resume_with_changed_master_seed_fails_and_keeps_files(
+        self, experiment_dir, monkeypatch, capsys
+    ):
+        out = experiment_dir / "out"
+        before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
+        monkeypatch.setenv("VQABENCH_MASTER_SEED", "123456")
+        argv = ["run", "--config", str(experiment_dir / "cfg.json"), "--out", str(out)]
+        assert main(argv + ["--resume"]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "snapshot" in err["detail"]
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+        monkeypatch.delenv("VQABENCH_MASTER_SEED")
+        assert main(argv + ["--resume"]) == 0  # the unchanged config still resumes
+        assert {name: (out / name).read_bytes() for name in before} == before
+
     def test_missing_config_fails_with_json_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

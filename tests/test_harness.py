@@ -62,6 +62,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             tiny_config(alphas=[0.0])
 
+    @pytest.mark.parametrize(
+        "alphas,shots_grid",
+        [
+            ([0.1234567, 0.1234568], [20]),  # equal to six significant digits
+            ([0.5, 0.5], [20]),
+            ([0.5], [20, 20]),
+        ],
+    )
+    def test_rejects_colliding_config_ids(self, alphas, shots_grid):
+        # Cells sharing an id would share run seeds, ensembles and resume state.
+        with pytest.raises(ValueError, match="config ids"):
+            tiny_config(alphas=alphas, shots_grid=shots_grid)
+
     def test_explicit_initial_params_length_checked(self):
         cfg = tiny_config(initial_params_values=[0.1] * 7, initial_params_seed=None)
         with pytest.raises(ValueError, match="initial_params"):
@@ -172,6 +185,17 @@ class TestRunExperiment:
         records_path.write_text("".join(lines))
         with pytest.raises(json.JSONDecodeError):
             run_experiment(tiny_config(), str(out), resume=True)
+
+    @pytest.mark.parametrize(
+        "change", [{"master_seed": 100}, {"shots_grid": [20, 60]}, {"runs_per_config": 4}]
+    )
+    def test_resume_refuses_a_changed_config(self, tmp_path, change):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
+        with pytest.raises(ValueError, match="snapshot"):
+            run_experiment(tiny_config(**change), str(out), resume=True)
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_fresh_rerun_resets_timings(self, tmp_path):
         out = tmp_path / "out"
