@@ -23,10 +23,11 @@ gate by gate. The whole entangler is one permutation of basis indices.
 CNOT(i, i+1) for i = N-2, ..., 0 XORs each target bit i+1 with bit i before
 bit i is itself touched, so the chain maps index x to
 ``x ^ ((x << 1) & (2^N - 1))``; it is applied as a gather through the
-inverse map, built once per N, cached read-only as int32. Memory bounds
-building at N <= 24: 8 B per amplitude (128 MiB at N = 24), plus the cached
-map (4 B per amplitude, 64 MiB at N = 24, kept for the life of the process),
-the gather's copies and per-gate temporaries.
+inverse map, built once per N and cached read-only as ``intp``, numpy's
+native index type, which it gathers through without a conversion. Memory
+bounds building at N <= 24: 8 B per amplitude (128 MiB at N = 24), plus the
+cached map (8 B per amplitude, 128 MiB at N = 24, kept for the life of the
+process), the gather's copies and per-gate temporaries.
 """
 
 from __future__ import annotations
@@ -71,12 +72,12 @@ def _apply_ry(state: np.ndarray, qubit: int, angle: float) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _entangler_source(n: int) -> np.ndarray:
-    """Read-only int32 gather map of the entangler: new[y] = old[src[y]].
+    """Read-only intp gather map of the entangler: new[y] = old[src[y]].
 
     The chain moves amplitude x to ``x ^ ((x << 1) & (2^N - 1))``; ``src`` is
     the inverse of that permutation.
     """
-    x = np.arange(1 << n, dtype=np.int32)
+    x = np.arange(1 << n, dtype=np.intp)
     src = np.empty_like(x)
     src[x ^ ((x << 1) & ((1 << n) - 1))] = x
     src.flags.writeable = False

@@ -28,7 +28,7 @@ from .harness import (
     read_metrics_csv,
     run_experiment,
 )
-from .metrics import SelectionThresholds, select
+from .metrics import ESTIMATES, SelectionThresholds, select
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,12 +99,10 @@ def _cmd_select(args: argparse.Namespace) -> int:
     print("config_id,alpha,shots,verdict")
     for row in read_metrics_csv(args.metrics):
         verdict = select(
-            row["feasibility"],
-            row["quality"],
-            row["reproducibility"],
+            *(row[name] for name in ESTIMATES),
             thresholds,
             strict=args.strict,
-            half_widths=(row["feasibility_err"], row["quality_err"], row["reproducibility_err"]),
+            half_widths=tuple(row[f"{name}_err"] for name in ESTIMATES),
         )
         print(f"{row['config_id']},{row['alpha']:g},{row['shots']},{verdict.value}")
     return 0

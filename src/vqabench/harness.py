@@ -29,7 +29,7 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -38,6 +38,7 @@ from . import metrics
 from .circuit import AnsatzSpec, build_statevector, exact_p_min
 from .cost import cost_estimate
 from .metrics import (
+    ESTIMATES,
     METRICS_CSV_COLUMNS,
     MetricsReport,
     RunOutcome,
@@ -154,17 +155,9 @@ class ExperimentConfig:
             "alphas": list(self.alphas),
             "shots_grid": list(self.shots_grid),
             "runs_per_config": self.runs_per_config,
-            "optimizer": {
-                "n_max": self.optimizer.n_max,
-                "rho_beg": self.optimizer.rho_beg,
-                "rho_end": self.optimizer.rho_end,
-            },
+            "optimizer": asdict(self.optimizer),
             "p_threshold": self.p_threshold,
-            "thresholds": {
-                "f0": self.thresholds.f0,
-                "q0": self.thresholds.q0,
-                "r0": self.thresholds.r0,
-            },
+            "thresholds": asdict(self.thresholds),
             "confidence": self.confidence,
             "master_seed": self.master_seed,
             "initial_params": init,
@@ -201,8 +194,10 @@ def run_seed(master_seed: int, cid: str, run_index: int) -> int:
 class RunRecord:
     """One run's persisted result; ``error`` is set instead of the outcome on failure.
 
-    ``wall_time`` is kept in memory and in the timings sidecar only, never in
-    the canonical records file, which must be byte-identical across reruns.
+    The fields are the keys of a records.jsonl line, unset (None) ones left
+    out. ``wall_time`` is kept in memory and in the timings sidecar only,
+    never in the canonical records file, which must be byte-identical across
+    reruns.
     """
 
     config_id: str
@@ -217,34 +212,15 @@ class RunRecord:
     wall_time: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
-        doc = {
-            "config_id": self.config_id,
-            "alpha": self.alpha,
-            "shots": self.shots,
-            "run_index": self.run_index,
-            "seed": self.seed,
+        return {
+            key: value
+            for key, value in asdict(self).items()
+            if key != "wall_time" and value is not None
         }
-        if self.error is not None:
-            doc["error"] = self.error
-        else:
-            doc["n_calls"] = self.n_calls
-            doc["p_min"] = self.p_min
-            doc["best_cost"] = self.best_cost
-        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        return RunRecord(
-            config_id=doc["config_id"],
-            alpha=doc["alpha"],
-            shots=doc["shots"],
-            run_index=doc["run_index"],
-            seed=doc["seed"],
-            n_calls=doc.get("n_calls"),
-            p_min=doc.get("p_min"),
-            best_cost=doc.get("best_cost"),
-            error=doc.get("error"),
-        )
+        return RunRecord(**doc)
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -300,10 +276,13 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
     the optimizer is deterministic given the objective value sequence.
     """
     cid = config_id(alpha, shots)
-    seed = run_seed(ctx.master_seed, cid, run_index)
+    rec = RunRecord(
+        config_id=cid, alpha=alpha, shots=shots, run_index=run_index,
+        seed=run_seed(ctx.master_seed, cid, run_index),
+    )
     started = time.perf_counter()
     try:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(rec.seed)
 
         def objective(params: np.ndarray) -> float:
             return cost_estimate(ctx.spec, params, ctx.cost_table, alpha, shots, rng)
@@ -311,27 +290,13 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
         result = minimize(objective, ctx.initial_params, ctx.settings)
         state = build_statevector(ctx.spec, result.final_params)
         p_min = exact_p_min(state, ctx.qubo)
-        return RunRecord(
-            config_id=cid,
-            alpha=alpha,
-            shots=shots,
-            run_index=run_index,
-            seed=seed,
-            n_calls=result.n_calls,
-            p_min=p_min,
-            best_cost=result.best_value,
-            wall_time=time.perf_counter() - started,
-        )
+        # set together, after the last call that can raise: a record holds
+        # either the whole outcome or the error
+        rec.n_calls, rec.p_min, rec.best_cost = result.n_calls, p_min, result.best_value
     except Exception as exc:  # a failed run is recorded, never dropped
-        return RunRecord(
-            config_id=cid,
-            alpha=alpha,
-            shots=shots,
-            run_index=run_index,
-            seed=seed,
-            error=f"{type(exc).__name__}: {exc}",
-            wall_time=time.perf_counter() - started,
-        )
+        rec.error = f"{type(exc).__name__}: {exc}"
+    rec.wall_time = time.perf_counter() - started
+    return rec
 
 
 _WORKER_CTX: _RunContext | None = None
@@ -362,11 +327,11 @@ def load_records(path: str) -> list[RunRecord]:
 
 
 def _drop_torn_tail(path: str) -> None:
-    """Truncate a records file back to its last newline.
+    """Truncate a JSON Lines file back to its last newline.
 
     A crash mid-write can leave an incomplete last line; cutting it lets the
-    resumed run append its records on a clean line. Complete lines are kept,
-    so one that fails to parse still raises in load_records.
+    resumed run append its lines on a clean line. Complete lines are kept,
+    so a record that fails to parse still raises in load_records.
     """
     with open(path, "rb+") as fh:
         data = fh.read()
@@ -412,6 +377,8 @@ def run_experiment(
         existing = load_records(records_path)
     elif os.path.exists(records_path):
         os.remove(records_path)
+    if resume and os.path.exists(timings_path):
+        _drop_torn_tail(timings_path)
     done = {(r.config_id, r.run_index) for r in existing}
 
     tasks = [
@@ -516,14 +483,8 @@ def analyze(
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_metrics_csv(reports, os.path.join(out_dir, "metrics.csv"))
-        for name, pick in (
-            ("feasibility", lambda r: r.feasibility),
-            ("quality", lambda r: r.quality),
-            ("reproducibility", lambda r: r.reproducibility),
-        ):
-            _write_pivot_table(
-                reports, pick, cfg, os.path.join(out_dir, f"table_{name}.csv")
-            )
+        for name in ESTIMATES:
+            _write_pivot_table(reports, name, cfg, os.path.join(out_dir, f"table_{name}.csv"))
         _write_selected(reports, os.path.join(out_dir, "selected.csv"))
     return reports
 
@@ -548,7 +509,7 @@ def read_metrics_csv(path: str) -> list[dict]:
     return rows
 
 
-def _write_pivot_table(reports, pick, cfg: ExperimentConfig, path: str) -> None:
+def _write_pivot_table(reports, name: str, cfg: ExperimentConfig, path: str) -> None:
     # Layout: shots as rows, alphas as columns, "value +- half_width" cells.
     alphas = sorted(cfg.alphas)
     with open(path, "w", encoding="utf-8") as fh:
@@ -560,7 +521,7 @@ def _write_pivot_table(reports, pick, cfg: ExperimentConfig, path: str) -> None:
                 if rep is None:
                     cells.append("")
                 else:
-                    est = pick(rep)
+                    est = getattr(rep, name)
                     cells.append(f"{est.value:.2f} ± {est.half_width:.2f}")
             fh.write(f"{shots}," + ",".join(cells) + "\n")
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -109,6 +109,11 @@ class SelectionThresholds:
             raise ValueError("q0 must be >= 0")
 
 
+#: The three metrics in cascade order, each a MetricsReport field holding an
+#: Estimate; metrics.csv has a ``<metric>``, ``<metric>_err`` column pair for each.
+ESTIMATES = ("feasibility", "quality", "reproducibility")
+
+
 @dataclass
 class MetricsReport:
     """Metric triple with error bars plus the cascade verdict for one configuration."""
@@ -124,35 +129,14 @@ class MetricsReport:
     n_runs: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "alpha": self.alpha,
-            "shots": self.shots,
-            "n_runs": self.n_runs,
-            "feasibility": {"value": self.feasibility.value, "half_width": self.feasibility.half_width},
-            "quality": {"value": self.quality.value, "half_width": self.quality.half_width},
-            "reproducibility": {
-                "value": self.reproducibility.value,
-                "half_width": self.reproducibility.half_width,
-            },
-            "confidence": self.confidence,
-            "verdict": self.verdict.value,
-        }
+        doc = asdict(self)
+        doc.update({name: getattr(self, name)._asdict() for name in ESTIMATES})
+        doc["verdict"] = self.verdict.value
+        return doc
 
     def to_csv_row(self) -> list:
-        return [
-            self.config_id,
-            self.alpha,
-            self.shots,
-            self.n_runs,
-            self.feasibility.value,
-            self.feasibility.half_width,
-            self.quality.value,
-            self.quality.half_width,
-            self.reproducibility.value,
-            self.reproducibility.half_width,
-            self.verdict.value,
-        ]
+        estimates = [x for name in ESTIMATES for x in getattr(self, name)]
+        return [self.config_id, self.alpha, self.shots, self.n_runs, *estimates, self.verdict.value]
 
 
 METRICS_CSV_COLUMNS = [
@@ -160,12 +144,7 @@ METRICS_CSV_COLUMNS = [
     "alpha",
     "shots",
     "n_runs",
-    "feasibility",
-    "feasibility_err",
-    "quality",
-    "quality_err",
-    "reproducibility",
-    "reproducibility_err",
+    *(column for name in ESTIMATES for column in (name, f"{name}_err")),
     "verdict",
 ]
 

@@ -159,7 +159,7 @@ class TestBuildStatevector:
         n = 5
         src = _entangler_source(n)
         assert src is _entangler_source(n)
-        assert src.dtype == np.int32
+        assert src.dtype == np.intp
         with pytest.raises(ValueError, match="read-only"):
             src[0] = 1
         x = np.arange(1 << n)

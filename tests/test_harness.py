@@ -2,7 +2,9 @@
 
 import json
 import math
+import multiprocessing
 import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -53,6 +55,9 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         save_config(cfg, str(path))
         assert load_config(str(path)) == cfg
+        doc = json.loads(path.read_text())
+        assert doc["optimizer"] == {"n_max": 20, "rho_beg": 1.0, "rho_end": 1e-3}
+        assert doc["thresholds"] == {"f0": 0.7, "q0": 1.2, "r0": 0.6}
 
     def test_requires_a_qubo_source(self):
         with pytest.raises(ValueError, match="qubo"):
@@ -176,6 +181,47 @@ class TestRunExperiment:
         run_experiment(tiny_config(), str(out), resume=True)
         assert records_path.read_bytes() == full
 
+    def test_resume_after_torn_timings_line(self, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path, timings_path = out / "records.jsonl", out / "timings.jsonl"
+        records_path.write_text("".join(records_path.read_text().splitlines(keepends=True)[:5]))
+        # timing lines are not flushed per run, so a crash can tear one too
+        timings = timings_path.read_text().splitlines(keepends=True)
+        timings_path.write_text("".join(timings[:5]) + timings[5][:20])
+        run_experiment(tiny_config(), str(out), resume=True)
+        lines = timings_path.read_text().splitlines()
+        assert len(lines) == 12
+        assert all("wall_time" in json.loads(line) for line in lines)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched run_single reaches pool workers only when they are forked",
+    )
+    def test_resume_after_a_killed_worker(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        run_single_ = harness.run_single
+
+        def dies_on_one_run(ctx, alpha, shots, run_index):
+            if (alpha, shots, run_index) == (1.0, 20, 1):
+                os._exit(1)  # as the OOM killer would, with no cleanup
+            return run_single_(ctx, alpha, shots, run_index)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "run_single", dies_on_one_run)
+            with pytest.raises(BrokenProcessPool):
+                run_experiment(tiny_config(), str(out), workers=2)
+        # the parent writes whole lines, so a dead worker leaves no torn tail
+        written = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        assert len(written) < 12
+        assert all(line.endswith("\n") and json.loads(line)["n_calls"] for line in written)
+
+        run_experiment(tiny_config(), str(out), workers=2, resume=True)
+        run_experiment(tiny_config(), str(tmp_path / "serial"))
+        assert (out / "records.jsonl").read_bytes() == (
+            tmp_path / "serial" / "records.jsonl"
+        ).read_bytes()
+
     def test_resume_rejects_a_corrupt_complete_line(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(tiny_config(), str(out))
@@ -292,6 +338,10 @@ class TestAnalyze:
         records = synthetic_records(cfg, {(a, s): 10 for a in cfg.alphas for s in cfg.shots_grid})
         reports = analyze(records, cfg, out_dir=str(tmp_path))
         rows = read_metrics_csv(str(tmp_path / "metrics.csv"))
+        assert (tmp_path / "metrics.csv").read_text().splitlines()[0] == (
+            "config_id,alpha,shots,n_runs,feasibility,feasibility_err,quality,quality_err,"
+            "reproducibility,reproducibility_err,verdict"
+        )
         assert len(rows) == len(reports) == 4
         assert all(row["verdict"] in {v.value for v in Verdict} for row in rows)
         table = (tmp_path / "table_feasibility.csv").read_text().splitlines()
@@ -362,12 +412,20 @@ class TestRecordSerialization:
             config_id="alpha=1,shots=50", alpha=1.0, shots=50, run_index=2,
             seed=123, n_calls=17, p_min=0.625, best_cost=-4.5,
         )
+        assert rec.to_json_line() == (
+            '{"alpha":1.0,"best_cost":-4.5,"config_id":"alpha=1,shots=50","n_calls":17,'
+            '"p_min":0.625,"run_index":2,"seed":123,"shots":50}\n'
+        )
         assert RunRecord.from_dict(json.loads(rec.to_json_line())) == rec
 
     def test_error_roundtrip(self):
         rec = RunRecord(
             config_id="alpha=1,shots=50", alpha=1.0, shots=50, run_index=2,
             seed=123, error="ValueError: nope",
+        )
+        assert rec.to_json_line() == (
+            '{"alpha":1.0,"config_id":"alpha=1,shots=50","error":"ValueError: nope",'
+            '"run_index":2,"seed":123,"shots":50}\n'
         )
         parsed = RunRecord.from_dict(json.loads(rec.to_json_line()))
         assert parsed.error == rec.error and parsed.n_calls is None
