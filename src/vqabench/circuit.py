@@ -22,12 +22,21 @@ update), giving the bit-i = 0 and bit-i = 1 halves. Later layers apply RY
 gate by gate. The whole entangler is one permutation of basis indices.
 CNOT(i, i+1) for i = N-2, ..., 0 XORs each target bit i+1 with bit i before
 bit i is itself touched, so the chain maps index x to
-``x ^ ((x << 1) & (2^N - 1))``; it is applied as a gather through the
-inverse map, built once per N and cached read-only as ``intp``, numpy's
-native index type, which it gathers through without a conversion. Memory
-bounds building at N <= 24: 8 B per amplitude (128 MiB at N = 24), plus the
-cached map (8 B per amplitude, 128 MiB at N = 24, kept for the life of the
-process), the gather's copies and per-gate temporaries.
+``x ^ ((x << 1) & (2^N - 1))``.
+
+Each later layer works on two halves of the index. The entangler gathers
+the state into a transposed layout, the low N // 2 bits by the high bits,
+so the RY gates on the low qubits pair amplitudes along long contiguous
+rows instead of a few elements apart; one transpose back to the standard
+layout then gives the high qubits the same long rows. The gather goes
+through a single map that folds the entangler's inverse and the transpose
+together, built once per N and cached read-only as ``intp``, numpy's native
+index type, which it gathers through without a conversion. The gates run in
+qubit order and form the same products in either layout, so the layout does
+not change a bit of the result. Memory bounds building at N <= 24: 8 B per
+amplitude (128 MiB at N = 24), plus the cached map (8 B per amplitude,
+128 MiB at N = 24, kept for the life of the process), the gather's and
+transpose's copies and per-gate temporaries.
 """
 
 from __future__ import annotations
@@ -72,14 +81,25 @@ def _apply_ry(state: np.ndarray, qubit: int, angle: float) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _entangler_source(n: int) -> np.ndarray:
-    """Read-only intp gather map of the entangler: new[y] = old[src[y]].
+    """Read-only intp gather map of the entangler into the two-half layout.
 
-    The chain moves amplitude x to ``x ^ ((x << 1) & (2^N - 1))``; ``src`` is
-    the inverse of that permutation.
+    The chain moves amplitude x to ``y = x ^ ((x << 1) & (2^N - 1))``. Split
+    y into its low ``N // 2`` bits and its high bits; the entangled amplitude
+    of y lands at ``low * 2^(N - N//2) + high``, the index of the transposed
+    (low by high) array, and ``src`` holds the x it comes from there.
     """
+    low = n // 2
+    # In place, so that building the map holds three arrays at once (x, y and
+    # src), no more than one gather does.
     x = np.arange(1 << n, dtype=np.intp)
-    src = np.empty_like(x)
-    src[x ^ ((x << 1) & ((1 << n) - 1))] = x
+    y = x << 1
+    y &= (1 << n) - 1
+    y ^= x
+    src = y >> low
+    y &= (1 << low) - 1
+    y <<= n - low
+    y |= src
+    src[y] = x
     src.flags.writeable = False
     return src
 
@@ -107,9 +127,15 @@ def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
         built = state[: 1 << i]
         np.multiply(built, math.sin(half), out=state[1 << i : 2 << i])
         built *= math.cos(half)
+    # In the transposed layout the entangler gathers into, low qubit i is bit
+    # n - low + i of the index; the high qubits act after the transpose back.
+    low = n // 2
     for layer in range(1, spec.reps + 1):
         state = state[_entangler_source(n)]
-        for i in range(n):
+        for i in range(low):
+            _apply_ry(state, qubit=n - low + i, angle=float(theta[layer * n + i]))
+        state = np.ascontiguousarray(state.reshape(1 << low, -1).T).reshape(-1)
+        for i in range(low, n):
             _apply_ry(state, qubit=i, angle=float(theta[layer * n + i]))
 
     assert abs(float(np.sum(np.square(state))) - 1.0) < 1e-10, "norm drifted"
@@ -130,18 +156,26 @@ def sample_bitstrings(state: np.ndarray, shots: int, rng: np.random.Generator) -
     Consumes exactly ``shots`` uniforms from ``rng.random`` and returns the
     same int64 indices as ``rng.choice(len(p), size=shots, p=p / p.sum())``
     with p the Born probabilities, leaving the generator in the same state:
-    each draw u maps to the number of CDF entries <= u. Identical (state,
-    shots, generator state) yields identical samples; use index_to_bits for
-    the tuple form of an outcome.
+    each draw u maps to the number of CDF entries <= u. Fewer draws than
+    outcomes are searched in sorted order and returned in draw order, so
+    each index stays at the position of its uniform; more go through a guide
+    table. Identical (state, shots, generator state) yields identical
+    samples; use index_to_bits for the tuple form of an outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = exact_probabilities(state)
-    cdf = np.cumsum(p / p.sum())
+    cdf = exact_probabilities(state)
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     u = rng.random(shots)
     if shots < len(cdf):
-        return cdf.searchsorted(u, side="right")
+        # Sorted keys walk the CDF forward, each search starting from the last
+        # one's answer; the result goes back to draw order.
+        order = np.argsort(u)
+        idx = np.empty_like(order)
+        idx[order] = cdf.searchsorted(u[order], side="right")
+        return idx
     # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power of
     # two, so u * k and cdf * k are exact and bucket b = floor(u * k) holds
     # the CDF entries in [b / k, (b + 1) / k). The entries below the bucket

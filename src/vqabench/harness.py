@@ -29,8 +29,9 @@ import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from itertools import product
+from typing import get_type_hints
 
 import numpy as np
 
@@ -109,22 +110,14 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
         qubo = doc.get("qubo", {})
-        opt = doc.get("optimizer", {})
-        thr = doc["thresholds"]
         init = doc.get("initial_params", {})
         return ExperimentConfig(
             alphas=[float(a) for a in doc["alphas"]],
             shots_grid=[int(s) for s in doc["shots_grid"]],
             runs_per_config=int(doc["runs_per_config"]),
-            optimizer=OptimizerSettings(
-                n_max=int(opt.get("n_max", 1000)),
-                rho_beg=float(opt.get("rho_beg", 1.0)),
-                rho_end=float(opt.get("rho_end", 1e-4)),
-            ),
+            optimizer=_settings_from_dict(OptimizerSettings, doc.get("optimizer", {})),
             p_threshold=float(doc["p_threshold"]),
-            thresholds=SelectionThresholds(
-                f0=float(thr["f0"]), q0=float(thr["q0"]), r0=float(thr["r0"])
-            ),
+            thresholds=_settings_from_dict(SelectionThresholds, doc["thresholds"]),
             master_seed=int(doc["master_seed"]),
             confidence=float(doc.get("confidence", 0.95)),
             reps=int(doc.get("ansatz", {}).get("reps", 1)),
@@ -162,6 +155,14 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "initial_params": init,
         }
+
+
+def _settings_from_dict(cls, doc: dict):
+    """Settings dataclass from its JSON object. Keys and defaults come from the
+    dataclass; each value is coerced to its field's type, which ``config.json``'s
+    bytes and the resume digest depend on."""
+    types = get_type_hints(cls)
+    return cls(**{f.name: types[f.name](doc[f.name]) for f in fields(cls) if f.name in doc})
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -127,12 +127,6 @@ class MetricsReport:
     alpha: float | None = None
     shots: int | None = None
     n_runs: int = 0
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc.update({name: getattr(self, name)._asdict() for name in ESTIMATES})
-        doc["verdict"] = self.verdict.value
-        return doc
 
     def to_csv_row(self) -> list:
         estimates = [x for name in ESTIMATES for x in getattr(self, name)]

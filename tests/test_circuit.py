@@ -155,15 +155,25 @@ class TestBuildStatevector:
         params = np.random.default_rng(seed).uniform(-7, 7, spec.num_parameters)
         assert np.array_equal(build_statevector(spec, params), per_gate_statevector(spec, params))
 
+    @pytest.mark.parametrize("n,reps", [(15, 1), (15, 2), (16, 1), (16, 2)])
+    def test_equals_per_gate_build_at_paper_size(self, n, reps):
+        spec = AnsatzSpec(n, reps)
+        params = np.random.default_rng(n * 10 + reps).uniform(-7, 7, spec.num_parameters)
+        assert np.array_equal(build_statevector(spec, params), per_gate_statevector(spec, params))
+
     def test_entangler_map_is_cached_read_only_inverse(self):
-        n = 5
-        src = _entangler_source(n)
-        assert src is _entangler_source(n)
-        assert src.dtype == np.intp
-        with pytest.raises(ValueError, match="read-only"):
-            src[0] = 1
-        x = np.arange(1 << n)
-        assert np.array_equal(src[x ^ ((x << 1) & ((1 << n) - 1))], x)
+        for n in (1, 2, 5, 6):
+            src = _entangler_source(n)
+            assert src is _entangler_source(n)
+            assert src.dtype == np.intp
+            with pytest.raises(ValueError, match="read-only"):
+                src[0] = 1
+            # Gathering through src gives the scattered entangler's output in
+            # the transposed layout: row = low n // 2 bits, column = high bits.
+            x = np.arange(1 << n)
+            entangled = np.empty_like(x)
+            entangled[x ^ ((x << 1) & ((1 << n) - 1))] = x
+            assert np.array_equal(src, entangled.reshape(-1, 1 << n // 2).T.reshape(-1))
 
 
 class TestExactProbabilities:
@@ -236,8 +246,17 @@ class TestSampling:
     def test_equals_generator_choice_stream(self, kind, n, shots_of):
         rng = np.random.default_rng(n)
         state = self._state(kind, n, rng)
-        shots = shots_of(1 << n)
-        seed = int(rng.integers(2**63))
+        self._assert_same_stream_as_choice(state, shots_of(1 << n), int(rng.integers(2**63)))
+
+    @pytest.mark.parametrize("kind", ["zeros", "spread"])
+    @pytest.mark.parametrize("shots", [10_000, 2**16 - 1])
+    def test_equals_generator_choice_stream_at_paper_size(self, kind, shots):
+        rng = np.random.default_rng(16)
+        state = self._state(kind, 16, rng)
+        self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
+
+    @staticmethod
+    def _assert_same_stream_as_choice(state: np.ndarray, shots: int, seed: int) -> None:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
         got = sample_bitstrings(state, shots, ours)
         expected = choice_oracle(state, shots, theirs)

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from vqabench.harness import (
 from vqabench.metrics import SelectionThresholds, Verdict
 from vqabench.optimizer import OptimizerSettings
 from vqabench.qubo import QuboInstance, save_qubo
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -58,6 +61,39 @@ class TestConfig:
         doc = json.loads(path.read_text())
         assert doc["optimizer"] == {"n_max": 20, "rho_beg": 1.0, "rho_end": 1e-3}
         assert doc["thresholds"] == {"f0": 0.7, "q0": 1.2, "r0": 0.6}
+
+    @pytest.mark.parametrize("name", ["desk_mode.json", "full_scale.json"])
+    def test_shipped_config_snapshot_is_its_canonical_form(self, tmp_path, name):
+        # Every key of the shipped configs is read back and rewritten with its
+        # JSON type (n_max 300, rho_beg 1.0), so the snapshot is the source
+        # document in canonical form and a second round trip keeps its bytes.
+        source = CONFIGS / name
+        saved = tmp_path / "saved.json"
+        save_config(load_config(str(source)), str(saved))
+        canonical = json.dumps(json.loads(source.read_text()), indent=2, sort_keys=True) + "\n"
+        assert saved.read_text() == canonical
+        again = tmp_path / "again.json"
+        save_config(load_config(str(saved)), str(again))
+        assert again.read_bytes() == saved.read_bytes()
+
+    def test_settings_coerced_to_their_field_types(self, tmp_path):
+        doc = tiny_config().to_dict()
+        doc["optimizer"] = {"n_max": 20.0, "rho_beg": 1, "rho_end": 0.001}
+        doc["thresholds"] = {"f0": 1, "q0": 2, "r0": 0}
+        cfg = ExperimentConfig.from_dict(doc)
+        assert type(cfg.optimizer.n_max) is int and type(cfg.optimizer.rho_beg) is float
+        assert all(type(v) is float for v in vars(cfg.thresholds).values())
+        path = tmp_path / "cfg.json"
+        save_config(cfg, str(path))
+        text = path.read_text()
+        assert '"n_max": 20,' in text and '"rho_beg": 1.0,' in text
+
+    def test_missing_optimizer_takes_the_dataclass_defaults(self):
+        doc = tiny_config().to_dict()
+        del doc["optimizer"]
+        assert ExperimentConfig.from_dict(doc).optimizer == OptimizerSettings()
+        doc["optimizer"] = {"n_max": 50}
+        assert ExperimentConfig.from_dict(doc).optimizer == OptimizerSettings(n_max=50)
 
     def test_requires_a_qubo_source(self):
         with pytest.raises(ValueError, match="qubo"):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqabench.metrics import (
+    ESTIMATES,
     GRID_BINS,
     Estimate,
     RunOutcome,
@@ -306,9 +307,11 @@ class TestReport:
         assert report.verdict is select(
             report.feasibility.value, report.quality.value, report.reproducibility.value, THRESHOLDS
         )
-        doc = report.to_dict()
-        assert doc["alpha"] == 0.75 and doc["shots"] == 1000
-        assert doc["verdict"] == report.verdict.value
+        assert report.alpha == 0.75 and report.shots == 1000
+        estimates = [getattr(report, name) for name in ESTIMATES]
+        assert all(isinstance(est, Estimate) for est in estimates)
+        assert report.to_csv_row()[4:-1] == [x for est in estimates for x in est]
+        assert report.to_csv_row()[-1] == report.verdict.value
         assert len(report.to_csv_row()) == 11
 
     def test_estimates_are_named_pairs(self):
