@@ -22,21 +22,21 @@ update), giving the bit-i = 0 and bit-i = 1 halves. Later layers apply RY
 gate by gate. The whole entangler is one permutation of basis indices.
 CNOT(i, i+1) for i = N-2, ..., 0 XORs each target bit i+1 with bit i before
 bit i is itself touched, so the chain maps index x to
-``x ^ ((x << 1) & (2^N - 1))``.
+``x ^ ((x << 1) & (2^N - 1))``. It runs as one gather through the inverse
+map, built once per N and cached read-only as ``intp``, numpy's native index
+type, which it gathers through without a conversion.
 
-Each later layer works on two halves of the index. The entangler gathers
-the state into a transposed layout, the low N // 2 bits by the high bits,
-so the RY gates on the low qubits pair amplitudes along long contiguous
-rows instead of a few elements apart; one transpose back to the standard
-layout then gives the high qubits the same long rows. The gather goes
-through a single map that folds the entangler's inverse and the transpose
-together, built once per N and cached read-only as ``intp``, numpy's native
-index type, which it gathers through without a conversion. The gates run in
-qubit order and form the same products in either layout, so the layout does
-not change a bit of the result. Memory bounds building at N <= 24: 8 B per
-amplitude (128 MiB at N = 24), plus the cached map (8 B per amplitude,
-128 MiB at N = 24, kept for the life of the process), the gather's and
-transpose's copies and per-gate temporaries.
+Each RY gate of a later layer is one uniform step on two buffers. The state
+is copied into the other buffer with its index rotated right by one bit, so
+the qubit about to be rotated becomes the top bit and its amplitude pairs
+are the two contiguous halves of the array. The gate then updates the
+halves in place, with the rotation's source buffer as scratch:
+``c * a0 + (-s * a1)`` and ``c * a1 + s * a0`` are bit for bit the products
+and sums of ``c * a0 - s * a1`` and ``s * a0 + c * a1``. After the N gates of
+a layer the index has turned once round and is in the standard layout
+again. Memory bounds building at N <= 24: two state buffers of 8 B per
+amplitude, plus the cached map at 8 B per amplitude (kept for the life of
+the process), 384 MiB in all at N = 24.
 """
 
 from __future__ import annotations
@@ -70,36 +70,19 @@ class AnsatzSpec:
         return self.n_qubits * (self.reps + 1)
 
 
-def _apply_ry(state: np.ndarray, qubit: int, angle: float) -> None:
-    c = math.cos(angle / 2.0)
-    s = math.sin(angle / 2.0)
-    psi = state.reshape(-1, 2, 1 << qubit)
-    a0 = psi[:, 0, :].copy()
-    psi[:, 0, :] = c * a0 - s * psi[:, 1, :]
-    psi[:, 1, :] = s * a0 + c * psi[:, 1, :]
-
-
 @functools.lru_cache(maxsize=None)
 def _entangler_source(n: int) -> np.ndarray:
-    """Read-only intp gather map of the entangler into the two-half layout.
+    """Read-only intp gather map of the entangler: ``src[y]`` is the x whose
+    amplitude the chain moves to ``y = x ^ ((x << 1) & (2^N - 1))``.
 
-    The chain moves amplitude x to ``y = x ^ ((x << 1) & (2^N - 1))``. Split
-    y into its low ``N // 2`` bits and its high bits; the entangled amplitude
-    of y lands at ``low * 2^(N - N//2) + high``, the index of the transposed
-    (low by high) array, and ``src`` holds the x it comes from there.
+    Bit i of y is x_i XOR x_(i-1), so bit i of x is the XOR of y's bits 0..i:
+    a prefix XOR, formed in log2(N) doubling steps on the index itself.
     """
-    low = n // 2
-    # In place, so that building the map holds three arrays at once (x, y and
-    # src), no more than one gather does.
-    x = np.arange(1 << n, dtype=np.intp)
-    y = x << 1
-    y &= (1 << n) - 1
-    y ^= x
-    src = y >> low
-    y &= (1 << low) - 1
-    y <<= n - low
-    y |= src
-    src[y] = x
+    src = np.arange(1 << n, dtype=np.intp)
+    shift = 1
+    while shift < n:
+        src ^= (src << shift) & ((1 << n) - 1)
+        shift *= 2
     src.flags.writeable = False
     return src
 
@@ -119,7 +102,7 @@ def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
 
     # Layer 0 acts on |0...0>, so it prepares a product state: qubit i splits
     # each of the 2^i amplitudes built so far into its cos part (bit i = 0)
-    # and its sin part (bit i = 1), the same products _apply_ry would form.
+    # and its sin part (bit i = 1), the same products an RY gate would form.
     state = np.empty(1 << n, dtype=np.float64)
     state[0] = 1.0
     for i in range(n):
@@ -127,18 +110,28 @@ def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
         built = state[: 1 << i]
         np.multiply(built, math.sin(half), out=state[1 << i : 2 << i])
         built *= math.cos(half)
-    # In the transposed layout the entangler gathers into, low qubit i is bit
-    # n - low + i of the index; the high qubits act after the transpose back.
-    low = n // 2
+    # No view may outlive its buffer's turn as scratch: each gather below
+    # frees the last layer's scratch before it allocates, so that a build
+    # holds two state buffers at a time.
+    del built
+    h = 1 << (n - 1)
     for layer in range(1, spec.reps + 1):
+        other = state
         state = state[_entangler_source(n)]
-        for i in range(low):
-            _apply_ry(state, qubit=n - low + i, angle=float(theta[layer * n + i]))
-        state = np.ascontiguousarray(state.reshape(1 << low, -1).T).reshape(-1)
-        for i in range(low, n):
-            _apply_ry(state, qubit=i, angle=float(theta[layer * n + i]))
+        for i in range(n):
+            half = float(theta[layer * n + i]) / 2.0
+            c, s = math.cos(half), math.sin(half)
+            # Rotate the index right by one bit: after i + 1 rotations qubit i
+            # is the top bit, so its pairs are the two contiguous halves.
+            np.copyto(other.reshape(2, h), state.reshape(h, 2).T)
+            state, other = other, state
+            pair = state.reshape(2, h)
+            np.multiply(pair[::-1], [[-s], [s]], out=other.reshape(2, h))
+            pair *= c
+            pair += other.reshape(2, h)
+        # N rotations bring the index back to the standard layout.
 
-    assert abs(float(np.sum(np.square(state))) - 1.0) < 1e-10, "norm drifted"
+    assert abs(float(np.dot(state, state)) - 1.0) < 1e-10, "norm drifted"
     return state
 
 

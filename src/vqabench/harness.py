@@ -111,6 +111,7 @@ class ExperimentConfig:
     def from_dict(doc: dict) -> "ExperimentConfig":
         qubo = doc.get("qubo", {})
         init = doc.get("initial_params", {})
+        default = {f.name: f.default for f in fields(ExperimentConfig)}
         return ExperimentConfig(
             alphas=[float(a) for a in doc["alphas"]],
             shots_grid=[int(s) for s in doc["shots_grid"]],
@@ -119,12 +120,12 @@ class ExperimentConfig:
             p_threshold=float(doc["p_threshold"]),
             thresholds=_settings_from_dict(SelectionThresholds, doc["thresholds"]),
             master_seed=int(doc["master_seed"]),
-            confidence=float(doc.get("confidence", 0.95)),
-            reps=int(doc.get("ansatz", {}).get("reps", 1)),
+            confidence=float(doc.get("confidence", default["confidence"])),
+            reps=int(doc.get("ansatz", {}).get("reps", default["reps"])),
             qubo_path=qubo.get("path"),
             qubo_dimension=qubo.get("dimension"),
             qubo_seed=qubo.get("seed"),
-            qubo_value_range=tuple(qubo.get("value_range", (-10.0, 10.0))),
+            qubo_value_range=tuple(qubo.get("value_range", default["qubo_value_range"])),
             initial_params_values=init.get("values"),
             initial_params_seed=init.get("seed"),
         )
@@ -245,7 +246,8 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
         q = load_qubo(cfg.qubo_path)
     else:
         q = random_qubo(cfg.qubo_dimension, cfg.qubo_seed, cfg.qubo_value_range)
-    brute_force_minimum(q)
+    cost_table = all_costs(q)
+    brute_force_minimum(q, costs=cost_table)
     spec = AnsatzSpec(n_qubits=q.dimension, reps=cfg.reps)
     if cfg.initial_params_values is not None:
         theta0 = np.asarray(cfg.initial_params_values, dtype=np.float64)
@@ -261,7 +263,7 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
         theta0 = rng.uniform(-math.pi, math.pi, size=spec.num_parameters)
     return _RunContext(
         qubo=q,
-        cost_table=all_costs(q),
+        cost_table=cost_table,
         spec=spec,
         initial_params=theta0,
         settings=cfg.optimizer,

@@ -16,7 +16,8 @@ import numpy as np
 
 BitString = tuple[int, ...]
 
-#: Largest dimension brute_force_minimum will enumerate by default (~16M bitstrings).
+#: Largest dimension all_costs and, by default, brute_force_minimum will enumerate
+#: (~16M bitstrings).
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 
 #: Loading rejects matrices with max |Q[i,j] - Q[j,i]| above this.
@@ -81,9 +82,16 @@ def _bit_block(indices: np.ndarray, dimension: int) -> np.ndarray:
     return ((indices[:, None] >> np.arange(dimension)) & 1).astype(np.float64)
 
 
+def _check_enumerable(n: int, limit: int) -> None:
+    if n > limit:
+        raise ValueError(f"dimension {n} exceeds the exhaustive enumeration limit {limit}")
+
+
 def all_costs(q: QuboInstance) -> np.ndarray:
-    """Costs of every bitstring, indexed by basis index. O(2^N) memory."""
+    """Costs of every bitstring, indexed by basis index. O(2^N) memory, so a
+    dimension above DEFAULT_EXHAUSTIVE_LIMIT is refused."""
     n = q.dimension
+    _check_enumerable(n, DEFAULT_EXHAUSTIVE_LIMIT)
     out = np.empty(1 << n, dtype=np.float64)
     for start in range(0, 1 << n, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, 1 << n)
@@ -93,7 +101,9 @@ def all_costs(q: QuboInstance) -> np.ndarray:
 
 
 def brute_force_minimum(
-    q: QuboInstance, exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT
+    q: QuboInstance,
+    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
+    costs: np.ndarray | None = None,
 ) -> tuple[float, tuple[BitString, ...]]:
     """Exhaustive global minimum of a QUBO instance.
 
@@ -101,14 +111,13 @@ def brute_force_minimum(
     bitstring whose cost is within ``1e-9 * max(1, |min|)`` of it (relative
     tolerance keeps degenerate-minimum detection stable for real-valued
     matrices). Also populates ``q.min_cost`` and ``q.minimizers``; the
-    minimizers are sorted by basis index. Deterministic.
+    minimizers are sorted by basis index. Deterministic. ``costs``, if given,
+    is ``all_costs(q)`` already computed, and is used instead of a new table.
     """
     n = q.dimension
-    if n > exhaustive_limit:
-        raise ValueError(
-            f"dimension {n} exceeds the exhaustive enumeration limit {exhaustive_limit}"
-        )
-    costs = all_costs(q)
+    _check_enumerable(n, exhaustive_limit)
+    if costs is None:
+        costs = all_costs(q)
     min_cost = float(costs.min())
     tol = 1e-9 * max(1.0, abs(min_cost))
     hits = np.nonzero(costs <= min_cost + tol)[0]

@@ -2,13 +2,14 @@
 
 The reference oracle builds the full 2^N x 2^N circuit unitary from Kronecker
 products and explicit CNOT permutation matrices, a completely separate code
-path from the stride updates and entangler index map under test. Two more
+path from the rotation steps and entangler index map under test. Two more
 oracles pin the fast paths bit for bit: the gate-by-gate build (every RY
 layer as a stride update, the entangler as a scatter) and ``Generator.choice``
 for the sampler's draws and generator stream.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ class TestBuildStatevector:
         params = np.random.default_rng(seed).uniform(-7, 7, spec.num_parameters)
         assert np.array_equal(build_statevector(spec, params), per_gate_statevector(spec, params))
 
-    @pytest.mark.parametrize("n,reps", [(15, 1), (15, 2), (16, 1), (16, 2)])
+    @pytest.mark.parametrize("n,reps", [(15, 1), (15, 2), (16, 1), (16, 2), (16, 3)])
     def test_equals_per_gate_build_at_paper_size(self, n, reps):
         spec = AnsatzSpec(n, reps)
         params = np.random.default_rng(n * 10 + reps).uniform(-7, 7, spec.num_parameters)
@@ -168,12 +169,25 @@ class TestBuildStatevector:
             assert src.dtype == np.intp
             with pytest.raises(ValueError, match="read-only"):
                 src[0] = 1
-            # Gathering through src gives the scattered entangler's output in
-            # the transposed layout: row = low n // 2 bits, column = high bits.
+            # src inverts the chain: the amplitude it moves from x to y is
+            # gathered back from x.
             x = np.arange(1 << n)
-            entangled = np.empty_like(x)
-            entangled[x ^ ((x << 1) & ((1 << n) - 1))] = x
-            assert np.array_equal(src, entangled.reshape(-1, 1 << n // 2).T.reshape(-1))
+            assert np.array_equal(src[x ^ ((x << 1) & ((1 << n) - 1))], x)
+
+    @pytest.mark.parametrize("reps", [1, 2])
+    def test_build_holds_two_state_buffers(self, reps):
+        # From the second layer on, the last layer's scratch buffer must be
+        # freed before the entangler's gather allocates the next state.
+        spec = AnsatzSpec(16, reps)
+        params = np.random.default_rng(7).uniform(-7, 7, spec.num_parameters)
+        _entangler_source(16)  # cached for the process, not part of a build
+        tracemalloc.start()
+        try:
+            build_statevector(spec, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * (1 << 16) * 8
 
 
 class TestExactProbabilities:

@@ -5,12 +5,13 @@ import math
 import multiprocessing
 import os
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from vqabench import harness
+from vqabench import harness, qubo
 from vqabench.harness import (
     ExperimentConfig,
     RunRecord,
@@ -29,7 +30,14 @@ from vqabench.harness import (
 )
 from vqabench.metrics import SelectionThresholds, Verdict
 from vqabench.optimizer import OptimizerSettings
-from vqabench.qubo import QuboInstance, save_qubo
+from vqabench.qubo import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
+    QuboInstance,
+    all_costs,
+    brute_force_minimum,
+    random_qubo,
+    save_qubo,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -95,6 +103,14 @@ class TestConfig:
         doc["optimizer"] = {"n_max": 50}
         assert ExperimentConfig.from_dict(doc).optimizer == OptimizerSettings(n_max=50)
 
+    def test_missing_keys_take_the_dataclass_defaults(self):
+        cfg = tiny_config(confidence=0.9, reps=2, qubo_value_range=(-3.0, 3.0))
+        doc = cfg.to_dict()
+        del doc["confidence"], doc["ansatz"], doc["qubo"]["value_range"]
+        omitted = ("confidence", "reps", "qubo_value_range")
+        default = {f.name: f.default for f in fields(ExperimentConfig) if f.name in omitted}
+        assert ExperimentConfig.from_dict(doc) == replace(cfg, **default)
+
     def test_requires_a_qubo_source(self):
         with pytest.raises(ValueError, match="qubo"):
             tiny_config(qubo_dimension=None, qubo_seed=None)
@@ -120,6 +136,29 @@ class TestConfig:
         cfg = tiny_config(initial_params_values=[0.1] * 7, initial_params_seed=None)
         with pytest.raises(ValueError, match="initial_params"):
             prepare_context(cfg)
+
+
+class TestPrepareContext:
+    def test_one_cost_table_per_context(self, monkeypatch):
+        tables = []
+
+        def counted(q):
+            tables.append(all_costs(q))
+            return tables[-1]
+
+        monkeypatch.setattr(harness, "all_costs", counted)
+        monkeypatch.setattr(qubo, "all_costs", counted)
+        cfg = tiny_config(qubo_dimension=6)
+        ctx = prepare_context(cfg)
+        assert len(tables) == 1
+        assert ctx.cost_table is tables[0]
+        fresh = random_qubo(6, cfg.qubo_seed, cfg.qubo_value_range)
+        assert brute_force_minimum(fresh) == (ctx.qubo.min_cost, ctx.qubo.minimizers)
+        assert np.array_equal(ctx.cost_table, tables[-1])
+
+    def test_refuses_to_enumerate_past_the_limit(self):
+        with pytest.raises(ValueError, match="exhaustive"):
+            prepare_context(tiny_config(qubo_dimension=DEFAULT_EXHAUSTIVE_LIMIT + 1))
 
 
 class TestSeeds:
