@@ -10,6 +10,7 @@ inspectable.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -39,6 +40,18 @@ def cvar(costs: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, m - 1)[:m].mean())
 
 
+# Each thread's shots-sized sample and cost arrays for the last ``shots`` it
+# priced, reused by the next call instead of being freed and faulted back in.
+_buffers = threading.local()
+
+
+def _shot_buffers(shots: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    cached = getattr(_buffers, "arrays", None)
+    if cached is None or len(cached[0]) != shots or cached[1].dtype != dtype:
+        cached = _buffers.arrays = (np.empty(shots, dtype=np.intp), np.empty(shots, dtype=dtype))
+    return cached
+
+
 def cost_estimate(
     spec: AnsatzSpec,
     params: np.ndarray,
@@ -53,8 +66,18 @@ def cost_estimate(
     prices each by lookup in ``cost_table`` (the QUBO costs of all 2^N
     bitstrings by basis index, from qubo.all_costs), and returns the
     CVaR_alpha of the sample. One invocation corresponds to one quantum
-    circuit evaluated when counting optimizer calls.
+    circuit evaluated when counting optimizer calls. From 2^N shots up the
+    samples and their costs live in this thread's buffers for ``shots`` and
+    never leave the call, so the steady state allocates no shots-sized arrays
+    but CVaR's own.
     """
     state = build_statevector(spec, params)
-    samples = sample_bitstrings(state, shots, rng)
-    return cvar(cost_table[samples], alpha)
+    if shots < len(state):
+        # Arrays smaller than the state are cheap to allocate afresh. Held
+        # between calls, they raised an N=16, 10 000-shot sweep's peak RSS
+        # by up to 0.3 MB.
+        return cvar(cost_table[sample_bitstrings(state, shots, rng)], alpha)
+    samples, costs = _shot_buffers(shots, cost_table.dtype)
+    sample_bitstrings(state, shots, rng, out=samples)
+    # The samples index the table by construction; mode="raise" would copy out.
+    return cvar(cost_table.take(samples, out=costs, mode="clip"), alpha)

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from vqabench.circuit import (
+    _CHUNK,
     AnsatzSpec,
     _entangler_source,
     build_statevector,
@@ -269,6 +270,18 @@ class TestSampling:
         state = self._state(kind, 16, rng)
         self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
 
+    @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread"])
+    @pytest.mark.parametrize("n", [10, 12])
+    @pytest.mark.parametrize(
+        "shots",
+        [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 100_000],
+        ids=["CHUNK-1", "CHUNK", "CHUNK+1", "3*CHUNK+5", "100000"],
+    )
+    def test_equals_generator_choice_stream_across_chunks(self, kind, n, shots):
+        rng = np.random.default_rng(100 + n)
+        state = self._state(kind, n, rng)
+        self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
+
     @staticmethod
     def _assert_same_stream_as_choice(state: np.ndarray, shots: int, seed: int) -> None:
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -277,6 +290,13 @@ class TestSampling:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         assert ours.random() == theirs.random()
+        # The same draws written into a caller's array, which is returned;
+        # without one, every call returns an array of its own.
+        out = np.full(shots, -1, dtype=np.intp)
+        assert sample_bitstrings(state, shots, np.random.default_rng(seed), out=out) is out
+        assert np.array_equal(out, expected)
+        again = sample_bitstrings(state, shots, np.random.default_rng(seed))
+        assert not np.shares_memory(again, got)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chisquare_against_exact_probabilities(self, seed):

@@ -1,10 +1,15 @@
 """Tests for CVaR tail means and sampled cost estimates."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vqabench import cost
 from vqabench.circuit import (
     AnsatzSpec,
     build_statevector,
@@ -111,3 +116,77 @@ class TestCostEstimate:
         )
         direct = [evaluate(q, index_to_bits(int(x), q.dimension)) for x in samples]
         assert with_table == pytest.approx(cvar(direct, 0.5), abs=1e-12)
+
+    def test_warm_call_allocates_only_the_cvar_partition(self, monkeypatch):
+        # The samples and costs are reused from the last call with these shots,
+        # so up to CVaR only chunk- and state-sized temporaries are allocated
+        # (about 0.6 in units of shots * 8 B here), and CVaR adds its partition
+        # copy. A shots-sized temporary alone is 1.0.
+        n, shots = 12, 100_000
+        spec = AnsatzSpec(n, 1)
+        table = all_costs(random_qubo(n, seed=4))
+        params = np.random.default_rng(4).uniform(-3, 3, spec.num_parameters)
+        rng = np.random.default_rng(5)
+        before_cvar = []
+
+        def traced_cvar(costs, alpha):
+            before_cvar.append(tracemalloc.get_traced_memory()[1])
+            return cvar(costs, alpha)
+
+        monkeypatch.setattr(cost, "cvar", traced_cvar)
+        cost_estimate(spec, params, table, 0.15, shots, rng)
+        tracemalloc.start()
+        try:
+            cost_estimate(spec, params, table, 0.15, shots, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert before_cvar[-1] < shots * 8
+        assert peak <= 1.5 * shots * 8
+
+    @staticmethod
+    def _stream(table, spec, params, shots, seed, calls):
+        """CVaR values of ``calls`` objective calls priced without cost_estimate."""
+        rng = np.random.default_rng(seed)
+        state = build_statevector(spec, params)
+        return [cvar(table[sample_bitstrings(state, shots, rng)], 0.25) for _ in range(calls)]
+
+    def test_reused_buffers_keep_interleaved_and_threaded_calls_apart(self):
+        n = 10
+        spec = AnsatzSpec(n, 1)
+        table = all_costs(random_qubo(n, seed=9))
+        params = np.random.default_rng(9).uniform(-3, 3, spec.num_parameters)
+        # 500 shots < 2^10 take fresh arrays, the others the cached buffers.
+        streams = [(shots, seed) for seed, shots in enumerate([500, 3_000, 20_000, 20_000, 20_000])]
+        expected = [self._stream(table, spec, params, shots, seed, 6) for shots, seed in streams]
+
+        # Alternating shots values: each call from 2^N shots up replaces the
+        # cached buffers.
+        rngs = [np.random.default_rng(seed) for _, seed in streams[:3]]
+        got = [[], [], []]
+        for _ in range(6):
+            for j, (shots, _) in enumerate(streams[:3]):
+                got[j].append(cost_estimate(spec, params, table, 0.25, shots, rngs[j]))
+        assert got == expected[:3]
+
+        # More threads than cores, each on its own generator, with the same
+        # shots on three of them: shared buffers would mix their samples.
+        results = [None] * len(streams)
+
+        def work(j):
+            shots, seed = streams[j]
+            rng = np.random.default_rng(seed)
+            results[j] = [cost_estimate(spec, params, table, 0.25, shots, rng) for _ in range(6)]
+
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(len(streams))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
