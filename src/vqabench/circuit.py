@@ -39,11 +39,11 @@ amplitude, plus the cached map at 8 B per amplitude (kept for the life of
 the process), 384 MiB in all at N = 24.
 
 Sampling inverts the CDF of the Born probabilities, on exactly the stream
-of ``Generator.choice``. With at least 2^N shots a guide table resolves the
-draws in fixed chunks, each filled by ``rng.random(out=)``, which continues
-the generator's stream as one ``rng.random(shots)`` would; its temporaries
-are chunk-sized, and the indices go into an ``out`` array that a caller can
-reuse from call to call, so a 100 000-shot call allocates nothing
+of ``Generator.choice``. The indices go into an ``out`` array that a caller
+can reuse from call to call. With at least 2^N shots a guide table resolves
+the draws in fixed chunks, each filled by ``rng.random(out=)``, which
+continues the generator's stream as one ``rng.random(shots)`` would; its
+temporaries are chunk-sized, so a 100 000-shot call allocates nothing
 shots-sized.
 """
 
@@ -187,14 +187,12 @@ def sample_bitstrings(
     cdf /= total
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
+    idx = np.empty(shots, dtype=np.intp) if out is None else out
     if shots < len(cdf):
         # Sorted keys walk the CDF forward, each search starting from the last
         # one's answer; the result goes back to draw order.
         u = rng.random(shots)
         order = np.argsort(u)
-        # Allocated before the sort's arrays, idx raised the peak RSS of an
-        # N=16, 10 000-shot sweep by up to 0.5 MB.
-        idx = np.empty_like(order) if out is None else out
         idx[order] = cdf.searchsorted(u[order], side="right")
         return idx
     # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power of
@@ -207,7 +205,6 @@ def sample_bitstrings(
     count = np.bincount((cdf * k).astype(np.intp), minlength=k + 1)
     below = np.cumsum(count) - count
     multi = count > 1
-    idx = np.empty(shots, dtype=np.intp) if out is None else out
     u = np.empty(min(shots, _CHUNK))
     for lo in range(0, shots, _CHUNK):
         uc = u[: min(_CHUNK, shots - lo)]

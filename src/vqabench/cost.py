@@ -66,17 +66,11 @@ def cost_estimate(
     prices each by lookup in ``cost_table`` (the QUBO costs of all 2^N
     bitstrings by basis index, from qubo.all_costs), and returns the
     CVaR_alpha of the sample. One invocation corresponds to one quantum
-    circuit evaluated when counting optimizer calls. From 2^N shots up the
-    samples and their costs live in this thread's buffers for ``shots`` and
-    never leave the call, so the steady state allocates no shots-sized arrays
-    but CVaR's own.
+    circuit evaluated when counting optimizer calls. The samples and their
+    costs live in this thread's buffers for ``shots`` and never leave the
+    call, so the steady state allocates no shots-sized arrays but CVaR's own.
     """
     state = build_statevector(spec, params)
-    if shots < len(state):
-        # Arrays smaller than the state are cheap to allocate afresh. Held
-        # between calls, they raised an N=16, 10 000-shot sweep's peak RSS
-        # by up to 0.3 MB.
-        return cvar(cost_table[sample_bitstrings(state, shots, rng)], alpha)
     samples, costs = _shot_buffers(shots, cost_table.dtype)
     sample_bitstrings(state, shots, rng, out=samples)
     # The samples index the table by construction; mode="raise" would copy out.

@@ -413,6 +413,9 @@ def run_experiment(
                 + "\n"
             )
 
+        # Forked pools start every worker at the first submit, and each
+        # worker prepares its own context: ask for no more than there are runs.
+        workers = min(workers, len(tasks))
         if workers <= 1:
             ctx = prepare_context(cfg)
             for task in tasks:

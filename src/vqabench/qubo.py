@@ -16,7 +16,7 @@ import numpy as np
 
 BitString = tuple[int, ...]
 
-#: Largest dimension all_costs and, by default, brute_force_minimum will enumerate
+#: Largest dimension all_costs, and so brute_force_minimum, will enumerate
 #: (~16M bitstrings).
 DEFAULT_EXHAUSTIVE_LIMIT = 24
 
@@ -82,16 +82,14 @@ def _bit_block(indices: np.ndarray, dimension: int) -> np.ndarray:
     return ((indices[:, None] >> np.arange(dimension)) & 1).astype(np.float64)
 
 
-def _check_enumerable(n: int, limit: int) -> None:
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds the exhaustive enumeration limit {limit}")
-
-
 def all_costs(q: QuboInstance) -> np.ndarray:
     """Costs of every bitstring, indexed by basis index. O(2^N) memory, so a
     dimension above DEFAULT_EXHAUSTIVE_LIMIT is refused."""
     n = q.dimension
-    _check_enumerable(n, DEFAULT_EXHAUSTIVE_LIMIT)
+    if n > DEFAULT_EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"dimension {n} exceeds the exhaustive enumeration limit {DEFAULT_EXHAUSTIVE_LIMIT}"
+        )
     out = np.empty(1 << n, dtype=np.float64)
     for start in range(0, 1 << n, _ENUM_CHUNK):
         stop = min(start + _ENUM_CHUNK, 1 << n)
@@ -101,9 +99,7 @@ def all_costs(q: QuboInstance) -> np.ndarray:
 
 
 def brute_force_minimum(
-    q: QuboInstance,
-    exhaustive_limit: int = DEFAULT_EXHAUSTIVE_LIMIT,
-    costs: np.ndarray | None = None,
+    q: QuboInstance, *, costs: np.ndarray | None = None
 ) -> tuple[float, tuple[BitString, ...]]:
     """Exhaustive global minimum of a QUBO instance.
 
@@ -114,14 +110,12 @@ def brute_force_minimum(
     minimizers are sorted by basis index. Deterministic. ``costs``, if given,
     is ``all_costs(q)`` already computed, and is used instead of a new table.
     """
-    n = q.dimension
-    _check_enumerable(n, exhaustive_limit)
     if costs is None:
         costs = all_costs(q)
     min_cost = float(costs.min())
     tol = 1e-9 * max(1.0, abs(min_cost))
     hits = np.nonzero(costs <= min_cost + tol)[0]
-    minimizers = tuple(index_to_bits(int(i), n) for i in hits)
+    minimizers = tuple(index_to_bits(int(i), q.dimension) for i in hits)
     q.min_cost = min_cost
     q.minimizers = minimizers
     return min_cost, minimizers

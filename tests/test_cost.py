@@ -144,6 +144,25 @@ class TestCostEstimate:
         assert before_cvar[-1] < shots * 8
         assert peak <= 1.5 * shots * 8
 
+    @pytest.mark.parametrize("shots", [10, 1000])
+    def test_one_pricing_path_on_both_sides_of_2_pow_n(self, monkeypatch, shots):
+        # 10 < 2^6 <= 1000: the sorted search and the guide table both write
+        # into this thread's buffers, so warm calls hand the sampler one array.
+        spec = AnsatzSpec(6, 1)
+        table = all_costs(random_qubo(6, seed=3))
+        params = np.random.default_rng(3).uniform(-3, 3, spec.num_parameters)
+        rng = np.random.default_rng(4)
+        outs = []
+
+        def recorded(state, shots, rng, out=None):
+            outs.append(out)
+            return sample_bitstrings(state, shots, rng, out=out)
+
+        monkeypatch.setattr(cost, "sample_bitstrings", recorded)
+        for _ in range(3):
+            cost_estimate(spec, params, table, 0.25, shots, rng)
+        assert outs[1] is not None and outs[2] is outs[1]
+
     @staticmethod
     def _stream(table, spec, params, shots, seed, calls):
         """CVaR values of ``calls`` objective calls priced without cost_estimate."""

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
 from pathlib import Path
@@ -329,6 +330,40 @@ class TestRunExperiment:
         run_experiment(tiny_config(), str(a), workers=1)
         run_experiment(tiny_config(), str(b), workers=2)
         assert (a / "records.jsonl").read_bytes() == (b / "records.jsonl").read_bytes()
+
+    def test_pool_is_no_larger_than_the_pending_runs(self, tmp_path, monkeypatch):
+        # A forked pool starts all max_workers at once, each preparing its own
+        # context; this fake runs the initializer and the tasks in-process.
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out), workers=64)
+        assert len(asked) == 1 and asked[0] <= 12
+        records_path = out / "records.jsonl"
+        full = records_path.read_bytes()
+
+        records_path.write_text("".join(records_path.read_text().splitlines(keepends=True)[1:]))
+        run_experiment(tiny_config(), str(out), workers=4, resume=True)
+        assert len(asked) == 1
+        assert records_path.read_bytes() == full
 
     def test_config_snapshot_written(self, tmp_path):
         out = tmp_path / "out"

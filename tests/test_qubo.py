@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from vqabench import qubo
 from vqabench.qubo import (
+    DEFAULT_EXHAUSTIVE_LIMIT,
     QuboInstance,
     bits_to_index,
     brute_force_minimum,
@@ -75,9 +76,10 @@ class TestBruteForce:
         assert brute_force_minimum(q) == (-2.0, ((1, 1),))
 
     def test_limit_enforced(self):
-        q = random_qubo(5, seed=0)
+        # Raises before anything is enumerated: 2^25 costs would take 256 MiB.
+        q = random_qubo(DEFAULT_EXHAUSTIVE_LIMIT + 1, seed=0)
         with pytest.raises(ValueError, match="exhaustive"):
-            brute_force_minimum(q, exhaustive_limit=4)
+            brute_force_minimum(q)
 
     @pytest.mark.parametrize("seed", [3, 17, 99])
     def test_minimum_bounds_every_bitstring(self, seed):
