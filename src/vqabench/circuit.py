@@ -34,17 +34,26 @@ halves in place, with the rotation's source buffer as scratch:
 ``c * a0 + (-s * a1)`` and ``c * a1 + s * a0`` are bit for bit the products
 and sums of ``c * a0 - s * a1`` and ``s * a0 + c * a1``. After the N gates of
 a layer the index has turned once round and is in the standard layout
-again. Memory bounds building at N <= 24: two state buffers of 8 B per
-amplitude, plus the cached map at 8 B per amplitude (kept for the life of
-the process), 384 MiB in all at N = 24.
+again.
+
+Memory bounds building and sampling at N <= 24. A build works in two state
+buffers of 8 B per amplitude and gathers through the cached map, another 8 B
+per amplitude kept for the life of the process. Sampling forms the CDF in a
+third 2^N array, or in the build's spare buffer when a caller lends it, and
+from 2^N shots up a guide table of 2 * 2^N + 1 buckets adds 9 B per bucket
+and an 8 B count per bucket for the call. ``cost.cost_estimate`` keeps one
+such workspace per thread: at N = 24 the two state buffers take 256 MiB and
+the samples and their costs 16 B per shot, and only from 2^24 shots up does
+the guide table add 288 MiB, plus its 256 MiB of counts during a call. The
+map adds 128 MiB per process.
 
 Sampling inverts the CDF of the Born probabilities, on exactly the stream
-of ``Generator.choice``. The indices go into an ``out`` array that a caller
-can reuse from call to call. With at least 2^N shots a guide table resolves
-the draws in fixed chunks, each filled by ``rng.random(out=)``, which
-continues the generator's stream as one ``rng.random(shots)`` would; its
-temporaries are chunk-sized, so a 100 000-shot call allocates nothing
-shots-sized.
+of ``Generator.choice``. The draws are resolved in fixed chunks, each
+filled by ``rng.random(out=)``, which continues the generator's stream as
+one ``rng.random(shots)`` would: below 2^N shots each chunk is searched in
+sorted order, and from 2^N shots up through the guide table. The
+temporaries are chunk-sized, so the only shots-sized array is the indices,
+and they go into an ``out`` array that a caller can reuse from call to call.
 """
 
 from __future__ import annotations
@@ -94,12 +103,25 @@ def _entangler_source(n: int) -> np.ndarray:
     while shift < n:
         src ^= (src << shift) & ((1 << n) - 1)
         shift *= 2
-    src.flags.writeable = False
-    return src
+    # A read-only view: ``take`` copies an index array it may not write to,
+    # so the build gathers through the view's base instead.
+    view = src.view()
+    view.flags.writeable = False
+    return view
 
 
-def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
-    """Statevector prepared by the ansatz from |0...0> for one angle vector."""
+def build_statevector(
+    spec: AnsatzSpec,
+    params: np.ndarray,
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """Statevector prepared by the ansatz from |0...0> for one angle vector.
+
+    The build works in two state buffers: ``buffers``, a pair of 2^N
+    ``float64`` arrays that a caller can reuse from call to call, or two new
+    arrays without it. The state is returned in one of them; the other is
+    left as scratch.
+    """
     n = spec.n_qubits
     if n > MAX_QUBITS:
         raise ValueError(f"n_qubits {n} exceeds the simulator bound {MAX_QUBITS}")
@@ -110,25 +132,24 @@ def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(theta)):
         raise ValueError("parameters must be finite")
+    if buffers is None:
+        buffers = (np.empty(1 << n), np.empty(1 << n))
+    state, other = buffers
 
     # Layer 0 acts on |0...0>, so it prepares a product state: qubit i splits
     # each of the 2^i amplitudes built so far into its cos part (bit i = 0)
     # and its sin part (bit i = 1), the same products an RY gate would form.
-    state = np.empty(1 << n, dtype=np.float64)
     state[0] = 1.0
     for i in range(n):
         half = float(theta[i]) / 2.0
         built = state[: 1 << i]
         np.multiply(built, math.sin(half), out=state[1 << i : 2 << i])
         built *= math.cos(half)
-    # No view may outlive its buffer's turn as scratch: each gather below
-    # frees the last layer's scratch before it allocates, so that a build
-    # holds two state buffers at a time.
-    del built
     h = 1 << (n - 1)
     for layer in range(1, spec.reps + 1):
-        other = state
-        state = state[_entangler_source(n)]
+        # The map is in range by construction; mode="raise" would copy out.
+        state.take(_entangler_source(n).base, out=other, mode="clip")
+        state, other = other, state
         for i in range(n):
             half = float(theta[layer * n + i]) / 2.0
             c, s = math.cos(half), math.sin(half)
@@ -146,10 +167,12 @@ def build_statevector(spec: AnsatzSpec, params: np.ndarray) -> np.ndarray:
     return state
 
 
-def _born_probabilities(state: np.ndarray) -> tuple[np.ndarray, float]:
-    """Born-rule probabilities and their total, summed once for both the
-    normalization check and the callers that rescale by it."""
-    p = np.square(state)
+def _born_probabilities(
+    state: np.ndarray, out: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Born-rule probabilities, in ``out`` if given, and their total, summed
+    once for both the normalization check and the callers that rescale by it."""
+    p = np.square(state, out=out)
     total = float(p.sum())
     assert abs(total - 1.0) < 1e-10, f"state not normalized: sum p = {total}"
     return p, total
@@ -160,58 +183,81 @@ def exact_probabilities(state: np.ndarray) -> np.ndarray:
     return _born_probabilities(state)[0]
 
 
+def guide_table(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialized arrays for ``sample_bitstrings``' guide table over
+    ``size`` outcomes: bucket offsets (``intp``) and a flag per bucket
+    (``bool``), one entry for each of 2 * size buckets and one past them."""
+    k = 2 * size
+    return np.empty(k + 1, dtype=np.intp), np.empty(k + 1, dtype=bool)
+
+
 def sample_bitstrings(
     state: np.ndarray,
     shots: int,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    guide: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw measurement outcomes from a state as an array of basis indices.
 
     Consumes exactly ``shots`` uniforms from ``rng.random`` and returns the
     same int64 indices as ``rng.choice(len(p), size=shots, p=p / p.sum())``
     with p the Born probabilities, leaving the generator in the same state:
-    each draw u maps to the number of CDF entries <= u. Fewer draws than
-    outcomes are searched in sorted order and returned in draw order, so
-    each index stays at the position of its uniform. More go through a guide
-    table in chunks of ``_CHUNK`` draws, each filled by ``rng.random(out=)``,
+    each draw u maps to the number of CDF entries <= u. The draws are
+    resolved in chunks of ``_CHUNK``, each filled by ``rng.random(out=)``,
     which continues the same stream, so the temporaries stay chunk-sized.
-    The indices are written into ``out`` (a length-``shots`` ``intp``
-    array) and ``out`` is returned; without it a new array is. Identical
-    (state, shots, generator state) yields identical samples; use
-    index_to_bits for the tuple form of an outcome.
+    Fewer draws than outcomes are searched in sorted order and scattered
+    back in draw order, so each index stays at the position of its uniform;
+    more go through a guide table.
+
+    A caller can lend the arrays that scale with N or with ``shots``, to
+    reuse them from call to call: ``out`` (a length-``shots`` ``intp``
+    array) receives the indices and is returned, ``scratch`` (a 2^N
+    ``float64`` array other than ``state``) holds the CDF, and ``guide``
+    (from ``guide_table(2^N)``) holds the guide table. Each one not given is
+    allocated afresh. Identical (state, shots, generator state) yields
+    identical samples; use index_to_bits for the tuple form of an outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cdf, total = _born_probabilities(state)
+    cdf, total = _born_probabilities(state, out=scratch)
     cdf /= total
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]
     idx = np.empty(shots, dtype=np.intp) if out is None else out
-    if shots < len(cdf):
-        # Sorted keys walk the CDF forward, each search starting from the last
-        # one's answer; the result goes back to draw order.
-        u = rng.random(shots)
-        order = np.argsort(u)
-        idx[order] = cdf.searchsorted(u[order], side="right")
-        return idx
-    # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power of
-    # two, so u * k and cdf * k are exact and bucket b = floor(u * k) holds
-    # the CDF entries in [b / k, (b + 1) / k). The entries below the bucket
-    # are all <= u and those above it all exceed u; a bucket holding one
-    # entry needs one comparison, and a fuller one a binary search. An empty
-    # bucket's next entry lies above it, so the comparison is False there.
-    k = 2 * len(cdf)
-    count = np.bincount((cdf * k).astype(np.intp), minlength=k + 1)
-    below = np.cumsum(count) - count
-    multi = count > 1
+    d = len(cdf)
+    if shots >= d:
+        # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power
+        # of two, so u * k and cdf * k are exact and bucket b = floor(u * k)
+        # holds the CDF entries in [b / k, (b + 1) / k). The entries below the
+        # bucket are all <= u and those above it all exceed u; a bucket
+        # holding one entry needs one comparison, and a fuller one a binary
+        # search. An empty bucket's next entry lies above it, so the
+        # comparison is False there.
+        k = 2 * d
+        below, multi = guide_table(d) if guide is None else guide
+        # The bucket keys are read once, by bincount, before ``below`` is
+        # written over them.
+        keys = np.multiply(cdf, k, out=below[:d], casting="unsafe")
+        count = np.bincount(keys, minlength=k + 1)
+        np.cumsum(count, out=below)
+        below -= count
+        np.greater(count, 1, out=multi)
     u = np.empty(min(shots, _CHUNK))
     for lo in range(0, shots, _CHUNK):
         uc = u[: min(_CHUNK, shots - lo)]
         rng.random(out=uc)
+        chunk = idx[lo : lo + len(uc)]
+        if shots < d:
+            # Sorted keys walk the CDF forward, each search starting from the
+            # last one's answer; the scatter restores draw order.
+            order = np.argsort(uc)
+            chunk[order] = cdf.searchsorted(uc[order], side="right")
+            continue
         b = (uc * k).astype(np.intp)
         # Indices are in range by construction; mode="raise" would copy out.
-        chunk = below.take(b, out=idx[lo : lo + len(uc)], mode="clip")
+        below.take(b, out=chunk, mode="clip")
         chunk += cdf[chunk] <= uc
         many = multi[b]
         chunk[many] = cdf.searchsorted(uc[many], side="right")

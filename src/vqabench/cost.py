@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .circuit import AnsatzSpec, build_statevector, sample_bitstrings
+from .circuit import AnsatzSpec, build_statevector, guide_table, sample_bitstrings
 
 
 def cvar_tail_count(n_samples: int, alpha: float) -> int:
@@ -40,16 +40,20 @@ def cvar(costs: np.ndarray, alpha: float) -> float:
     return float(np.partition(values, m - 1)[:m].mean())
 
 
-# Each thread's shots-sized sample and cost arrays for the last ``shots`` it
-# priced, reused by the next call instead of being freed and faulted back in.
+# Each thread's working memory for the last N and ``shots`` it priced, reused
+# by the next call instead of being freed and faulted back in: the build's two
+# state buffers, the sample and cost arrays, and, from 2^N shots up, the
+# sampler's guide table. Each entry is kept as (key, arrays) and replaced when
+# a call needs another key.
 _buffers = threading.local()
 
 
-def _shot_buffers(shots: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    cached = getattr(_buffers, "arrays", None)
-    if cached is None or len(cached[0]) != shots or cached[1].dtype != dtype:
-        cached = _buffers.arrays = (np.empty(shots, dtype=np.intp), np.empty(shots, dtype=dtype))
-    return cached
+def _reused(name: str, key, make):
+    held = getattr(_buffers, name, None)
+    if held is None or held[0] != key:
+        held = (key, make())
+        setattr(_buffers, name, held)
+    return held[1]
 
 
 def cost_estimate(
@@ -66,12 +70,21 @@ def cost_estimate(
     prices each by lookup in ``cost_table`` (the QUBO costs of all 2^N
     bitstrings by basis index, from qubo.all_costs), and returns the
     CVaR_alpha of the sample. One invocation corresponds to one quantum
-    circuit evaluated when counting optimizer calls. The samples and their
-    costs live in this thread's buffers for ``shots`` and never leave the
-    call, so the steady state allocates no shots-sized arrays but CVaR's own.
+    circuit evaluated when counting optimizer calls. Every array that scales
+    with 2^N or with ``shots`` lives in this thread's buffers and never
+    leaves the call, so the steady state allocates none of them but CVaR's
+    own partition and, from 2^N shots up, the guide table's counts.
     """
-    state = build_statevector(spec, params)
-    samples, costs = _shot_buffers(shots, cost_table.dtype)
-    sample_bitstrings(state, shots, rng, out=samples)
+    d = 1 << spec.n_qubits
+    states = _reused("states", d, lambda: (np.empty(d), np.empty(d)))
+    state = build_statevector(spec, params, buffers=states)
+    samples, costs = _reused(
+        "shots",
+        (shots, cost_table.dtype),
+        lambda: (np.empty(shots, dtype=np.intp), np.empty(shots, dtype=cost_table.dtype)),
+    )
+    guide = _reused("guide", d, lambda: guide_table(d)) if shots >= d else None
+    spare = states[1] if state is states[0] else states[0]
+    sample_bitstrings(state, shots, rng, out=samples, scratch=spare, guide=guide)
     # The samples index the table by construction; mode="raise" would copy out.
     return cvar(cost_table.take(samples, out=costs, mode="clip"), alpha)

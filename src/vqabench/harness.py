@@ -414,19 +414,20 @@ def run_experiment(
             )
 
         # Forked pools start every worker at the first submit, and each
-        # worker prepares its own context: ask for no more than there are runs.
+        # worker prepares its own context: ask for no more than there are
+        # runs, and prepare nothing when none is pending.
         workers = min(workers, len(tasks))
-        if workers <= 1:
-            ctx = prepare_context(cfg)
-            for task in tasks:
-                sink(run_single(ctx, *task))
-        else:
+        if workers > 1:
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(cfg,)
             ) as pool:
                 futures = [pool.submit(_worker_run, task) for task in tasks]
                 for fut in as_completed(futures):
                     sink(fut.result())
+        elif tasks:
+            ctx = prepare_context(cfg)
+            for task in tasks:
+                sink(run_single(ctx, *task))
 
     _rewrite_canonical(records, records_path)
     return sorted(records, key=_record_sort_key)

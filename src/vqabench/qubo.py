@@ -23,7 +23,10 @@ DEFAULT_EXHAUSTIVE_LIMIT = 24
 #: Loading rejects matrices with max |Q[i,j] - Q[j,i]| above this.
 SYMMETRY_TOLERANCE = 1e-12
 
-_ENUM_CHUNK = 1 << 16
+#: Rows per enumeration block. Each block's bit matrix and its temporaries
+#: take a few times 8 B x rows x N; at N = 16 the whole set-up peaks below
+#: twice the table's size.
+_ENUM_CHUNK = 1 << 10
 
 
 def bits_to_index(bits: BitString) -> int:

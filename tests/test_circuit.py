@@ -177,8 +177,8 @@ class TestBuildStatevector:
 
     @pytest.mark.parametrize("reps", [1, 2])
     def test_build_holds_two_state_buffers(self, reps):
-        # From the second layer on, the last layer's scratch buffer must be
-        # freed before the entangler's gather allocates the next state.
+        # Without lent buffers a build allocates its two state buffers and
+        # nothing else of state size: the entangler gathers into the spare one.
         spec = AnsatzSpec(16, reps)
         params = np.random.default_rng(7).uniform(-7, 7, spec.num_parameters)
         _entangler_source(16)  # cached for the process, not part of a build

@@ -117,12 +117,9 @@ class TestCostEstimate:
         direct = [evaluate(q, index_to_bits(int(x), q.dimension)) for x in samples]
         assert with_table == pytest.approx(cvar(direct, 0.5), abs=1e-12)
 
-    def test_warm_call_allocates_only_the_cvar_partition(self, monkeypatch):
-        # The samples and costs are reused from the last call with these shots,
-        # so up to CVaR only chunk- and state-sized temporaries are allocated
-        # (about 0.6 in units of shots * 8 B here), and CVaR adds its partition
-        # copy. A shots-sized temporary alone is 1.0.
-        n, shots = 12, 100_000
+    @staticmethod
+    def _warm_call_peaks(monkeypatch, n, shots):
+        """Tracemalloc peaks of a warm objective call: up to CVaR, and overall."""
         spec = AnsatzSpec(n, 1)
         table = all_costs(random_qubo(n, seed=4))
         params = np.random.default_rng(4).uniform(-3, 3, spec.num_parameters)
@@ -141,8 +138,34 @@ class TestCostEstimate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert before_cvar[-1] < shots * 8
+        return before_cvar[-1], peak
+
+    def test_warm_call_allocates_only_the_cvar_partition(self, monkeypatch):
+        # The samples and costs are reused from the last call with these shots,
+        # so up to CVaR only chunk- and state-sized temporaries are allocated
+        # (about 0.6 in units of shots * 8 B here), and CVaR adds its partition
+        # copy. A shots-sized temporary alone is 1.0.
+        shots = 100_000
+        before_cvar, peak = self._warm_call_peaks(monkeypatch, 12, shots)
+        assert before_cvar < shots * 8
         assert peak <= 1.5 * shots * 8
+
+    def test_warm_call_allocates_nothing_state_sized(self, monkeypatch):
+        # At N=16 and 1 000 shots the state, its scratch and the samples all
+        # live in this thread's buffers: what a warm call allocates is
+        # chunk-sized, far below one 2^N float64 state (1.0 here).
+        n = 16
+        _, peak = self._warm_call_peaks(monkeypatch, n, 1_000)
+        assert peak <= 0.25 * (1 << n) * 8
+
+    def test_warm_sorted_search_allocates_only_the_cvar_partition(self, monkeypatch):
+        # 60 000 < 2^16 shots take the sorted search, one chunk of draws at a
+        # time: up to CVaR about 0.55 in units of shots * 8 B, then CVaR's
+        # partition copy, 1.0.
+        shots = 60_000
+        before_cvar, peak = self._warm_call_peaks(monkeypatch, 16, shots)
+        assert before_cvar < 0.75 * shots * 8
+        assert peak <= 1.25 * shots * 8
 
     @pytest.mark.parametrize("shots", [10, 1000])
     def test_one_pricing_path_on_both_sides_of_2_pow_n(self, monkeypatch, shots):
@@ -154,9 +177,9 @@ class TestCostEstimate:
         rng = np.random.default_rng(4)
         outs = []
 
-        def recorded(state, shots, rng, out=None):
+        def recorded(state, shots, rng, out=None, **kwargs):
             outs.append(out)
-            return sample_bitstrings(state, shots, rng, out=out)
+            return sample_bitstrings(state, shots, rng, out=out, **kwargs)
 
         monkeypatch.setattr(cost, "sample_bitstrings", recorded)
         for _ in range(3):
@@ -171,31 +194,40 @@ class TestCostEstimate:
         return [cvar(table[sample_bitstrings(state, shots, rng)], 0.25) for _ in range(calls)]
 
     def test_reused_buffers_keep_interleaved_and_threaded_calls_apart(self):
-        n = 10
-        spec = AnsatzSpec(n, 1)
-        table = all_costs(random_qubo(n, seed=9))
-        params = np.random.default_rng(9).uniform(-3, 3, spec.num_parameters)
-        # 500 shots < 2^10 take fresh arrays, the others the cached buffers.
-        streams = [(shots, seed) for seed, shots in enumerate([500, 3_000, 20_000, 20_000, 20_000])]
-        expected = [self._stream(table, spec, params, shots, seed, 6) for shots, seed in streams]
+        problems = {}
+        for n in (8, 10):
+            spec = AnsatzSpec(n, 1)
+            params = np.random.default_rng(9).uniform(-3, 3, spec.num_parameters)
+            problems[n] = (all_costs(random_qubo(n, seed=9)), spec, params)
+        # (N, shots) per stream: 500 shots < 2^10 take the sorted search, the
+        # others the guide table.
+        streams = [(10, 500), (10, 3_000), (8, 20_000), (10, 20_000), (10, 20_000), (8, 3_000)]
+        expected = [
+            self._stream(*problems[n], shots, seed, 6) for seed, (n, shots) in enumerate(streams)
+        ]
 
-        # Alternating shots values: each call from 2^N shots up replaces the
-        # cached buffers.
-        rngs = [np.random.default_rng(seed) for _, seed in streams[:3]]
+        def priced(j, rng):
+            n, shots = streams[j]
+            table, spec, params = problems[n]
+            return cost_estimate(spec, params, table, 0.25, shots, rng)
+
+        # Alternating streams: each call replaces the cached sample and cost
+        # arrays, and a change of N the state buffers and the guide table.
+        rngs = [np.random.default_rng(seed) for seed in range(3)]
         got = [[], [], []]
         for _ in range(6):
-            for j, (shots, _) in enumerate(streams[:3]):
-                got[j].append(cost_estimate(spec, params, table, 0.25, shots, rngs[j]))
+            for j in range(3):
+                got[j].append(priced(j, rngs[j]))
         assert got == expected[:3]
 
-        # More threads than cores, each on its own generator, with the same
-        # shots on three of them: shared buffers would mix their samples.
+        # More threads than cores, each on its own generator. Two share N and
+        # shots, and two pairs share shots at different N: shared buffers
+        # would mix their states or their samples.
         results = [None] * len(streams)
 
         def work(j):
-            shots, seed = streams[j]
-            rng = np.random.default_rng(seed)
-            results[j] = [cost_estimate(spec, params, table, 0.25, shots, rng) for _ in range(6)]
+            rng = np.random.default_rng(j)
+            results[j] = [priced(j, rng) for _ in range(6)]
 
         threads = [threading.Thread(target=work, args=(j,)) for j in range(len(streams))]
         interval = sys.getswitchinterval()

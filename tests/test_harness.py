@@ -365,6 +365,26 @@ class TestRunExperiment:
         assert len(asked) == 1
         assert records_path.read_bytes() == full
 
+    def test_finished_resume_prepares_no_context(self, tmp_path, monkeypatch):
+        # With every run on disk there is nothing to price, so the QUBO, its
+        # cost table and its minimum are not built.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        full = records_path.read_bytes()
+        prepared = []
+
+        def counted(cfg):
+            prepared.append(cfg)
+            return prepare_context(cfg)
+
+        monkeypatch.setattr(harness, "prepare_context", counted)
+        for workers in (1, 4):
+            records = run_experiment(tiny_config(), str(out), workers=workers, resume=True)
+            assert len(records) == 2 * 2 * 3
+        assert prepared == []
+        assert records_path.read_bytes() == full
+
     def test_config_snapshot_written(self, tmp_path):
         out = tmp_path / "out"
         cfg = tiny_config()

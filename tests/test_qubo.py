@@ -1,6 +1,7 @@
 """Tests for QUBO evaluation, brute-force minima, and instance generation."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,3 +167,29 @@ def test_all_costs_matches_evaluate():
     table = qubo.all_costs(q)
     for index in [0, 1, 17, 100, 127]:
         assert table[index] == pytest.approx(evaluate(q, index_to_bits(index, 7)), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n,block", [(1, 1), (3, 1), (3, 7), (6, 7), (6, 256), (12, 7), (12, 256), (16, 256), (16, 4096)]
+)
+def test_all_costs_independent_of_the_block_size(monkeypatch, n, block):
+    # Each row's einsum sums the same products in the same order in any block.
+    for seed in range(4):
+        q = random_qubo(n, seed=seed)
+        expected = qubo.all_costs(q)
+        monkeypatch.setattr(qubo, "_ENUM_CHUNK", block)
+        assert np.array_equal(qubo.all_costs(q), expected)
+        monkeypatch.undo()
+
+
+def test_all_costs_peaks_below_the_table_plus_one_state():
+    # Enumerating in blocks keeps the set-up's transient below one 2^N float64
+    # array beside the table it fills.
+    q = random_qubo(16, seed=0)
+    tracemalloc.start()
+    try:
+        table = qubo.all_costs(q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * table.nbytes
