@@ -1,15 +1,16 @@
-"""Command-line interface: run experiments, analyze records, select, dump plot data.
+"""Command-line interface: run experiments, analyze records, select.
 
 Subcommands:
-    run       --config <file> --out <dir> [--workers N] [--resume]
-    analyze   --records <file> --config <file> --out-tables <dir> [--strict]
-    select    --metrics <csv> --thresholds f0,q0,r0 [--strict]
-    plot-data --records <file> --config-id <id> --out <dir> [--config <file>]
+    run      --config <file> --out <dir> [--workers N] [--resume]
+    analyze  --records <file> --out-tables <dir> [--config <file>] [--strict]
+    select   --metrics <csv> --thresholds f0,q0,r0 [--strict]
 
-``plot-data`` looks for the config snapshot written next to the records file
-unless --config is given. VQABENCH_MASTER_SEED and VQABENCH_WORKERS override
-the config's master seed and the worker count. Exit status is 0 on success;
-failures print a one-line JSON error to stderr and exit nonzero.
+``analyze`` writes the metric tables and every cell's quality-diagram data
+under diagrams/<config_id>/, and reads the config snapshot written next to
+the records file unless --config is given. VQABENCH_MASTER_SEED and
+VQABENCH_WORKERS override the config's master seed and the worker count.
+Exit status is 0 on success; failures print a one-line JSON error to stderr
+and exit nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import sys
 from .harness import (
     CONFIG_SNAPSHOT_FILENAME,
     analyze,
-    emit_quality_diagram_data,
     load_config,
     load_records,
     read_metrics_csv,
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="compute metric tables from run records")
     p_an.add_argument("--records", required=True)
-    p_an.add_argument("--config", required=True)
+    p_an.add_argument("--config", help="default: the config.json snapshot next to --records")
     p_an.add_argument("--out-tables", required=True)
     p_an.add_argument("--strict", action="store_true")
 
@@ -55,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sel.add_argument("--metrics", required=True)
     p_sel.add_argument("--thresholds", required=True, metavar="f0,q0,r0")
     p_sel.add_argument("--strict", action="store_true")
-
-    p_plot = sub.add_parser("plot-data", help="emit quality-diagram data for one config")
-    p_plot.add_argument("--records", required=True)
-    p_plot.add_argument("--config-id", required=True)
-    p_plot.add_argument("--out", required=True)
-    p_plot.add_argument("--config", default=None)
 
     return parser
 
@@ -77,7 +71,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
+    snapshot = os.path.join(os.path.dirname(args.records), CONFIG_SNAPSHOT_FILENAME)
+    cfg = load_config(args.config or snapshot)
     records = load_records(args.records)
     reports = analyze(records, cfg, out_dir=args.out_tables, strict=args.strict)
     for cid in sorted(reports, key=lambda c: (reports[c].alpha, reports[c].shots)):
@@ -108,28 +103,12 @@ def _cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plot_data(args: argparse.Namespace) -> int:
-    config_path = args.config
-    if config_path is None:
-        config_path = os.path.join(os.path.dirname(args.records), CONFIG_SNAPSHOT_FILENAME)
-        if not os.path.exists(config_path):
-            raise FileNotFoundError(
-                f"no config snapshot at {config_path}; pass --config explicitly"
-            )
-    cfg = load_config(config_path)
-    records = load_records(args.records)
-    emit_quality_diagram_data(records, cfg, args.config_id, args.out)
-    print(f"diagram data for {args.config_id} written to {args.out}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "analyze": _cmd_analyze,
         "select": _cmd_select,
-        "plot-data": _cmd_plot_data,
     }
     try:
         return handlers[args.command](args)

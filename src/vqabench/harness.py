@@ -60,7 +60,7 @@ RECORDS_FILENAME = "records.jsonl"
 TIMINGS_FILENAME = "timings.jsonl"
 CONFIG_SNAPSHOT_FILENAME = "config.json"
 
-#: Quality levels traced by emit_quality_diagram_data.
+#: Quality levels traced in each cell's level_curves.csv.
 LEVEL_CURVE_VALUES = (1.0, 2.0, 4.0)
 
 
@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValueError("runs_per_config must be >= 1")
         if not 0.0 < self.p_threshold < 1.0:
             raise ValueError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.qubo_path is None and (self.qubo_dimension is None or self.qubo_seed is None):
             raise ValueError("config needs either qubo_path or (qubo_dimension, qubo_seed)")
 
@@ -305,9 +307,9 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
 _WORKER_CTX: _RunContext | None = None
 
 
-def _worker_init(cfg: ExperimentConfig) -> None:
+def _worker_init(ctx: _RunContext) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = prepare_context(cfg)
+    _WORKER_CTX = ctx
 
 
 def _worker_run(task: tuple[float, int, int]) -> RunRecord:
@@ -358,9 +360,10 @@ def run_experiment(
     file is identical for any worker count. With ``resume``, runs already in
     the records file are skipped and only missing ones are computed; a
     config that differs from the snapshot in out_dir raises ValueError
-    before any file is touched.
+    before any file is touched. The run context is prepared once, here, and
+    only when a run is pending; a context that cannot be prepared raises
+    before the snapshot, the records or the timings are written.
     """
-    os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
     snapshot_path = os.path.join(out_dir, CONFIG_SNAPSHOT_FILENAME)
@@ -372,18 +375,12 @@ def run_experiment(
                 f"cannot resume in {out_dir}: the config differs from its snapshot "
                 f"{CONFIG_SNAPSHOT_FILENAME}; rerun without --resume or use a new directory"
             )
-    save_config(cfg, snapshot_path)
 
     existing: list[RunRecord] = []
     if resume and os.path.exists(records_path):
         _drop_torn_tail(records_path)
         existing = load_records(records_path)
-    elif os.path.exists(records_path):
-        os.remove(records_path)
-    if resume and os.path.exists(timings_path):
-        _drop_torn_tail(timings_path)
     done = {(r.config_id, r.run_index) for r in existing}
-
     tasks = [
         (alpha, shots, run_index)
         for alpha in cfg.alphas
@@ -391,6 +388,14 @@ def run_experiment(
         for run_index in range(cfg.runs_per_config)
         if (config_id(alpha, shots), run_index) not in done
     ]
+    ctx = prepare_context(cfg) if tasks else None
+
+    os.makedirs(out_dir, exist_ok=True)
+    save_config(cfg, snapshot_path)
+    if not resume and os.path.exists(records_path):
+        os.remove(records_path)
+    if resume and os.path.exists(timings_path):
+        _drop_torn_tail(timings_path)
 
     records = list(existing)
     with open(records_path, "a", encoding="utf-8") as rec_fh, open(
@@ -413,19 +418,17 @@ def run_experiment(
                 + "\n"
             )
 
-        # Forked pools start every worker at the first submit, and each
-        # worker prepares its own context: ask for no more than there are
-        # runs, and prepare nothing when none is pending.
+        # Forked pools start every worker at the first submit: ask for no
+        # more than there are runs.
         workers = min(workers, len(tasks))
         if workers > 1:
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=(cfg,)
+                max_workers=workers, initializer=_worker_init, initargs=(ctx,)
             ) as pool:
                 futures = [pool.submit(_worker_run, task) for task in tasks]
                 for fut in as_completed(futures):
                     sink(fut.result())
-        elif tasks:
-            ctx = prepare_context(cfg)
+        else:
             for task in tasks:
                 sink(run_single(ctx, *task))
 
@@ -469,8 +472,9 @@ def analyze(
     Configurations without at least two successful runs are reported as
     skipped and excluded from the tables and the selection. When ``out_dir``
     is given, writes metrics.csv (one row per configuration), one pivoted
-    table per metric with shots as rows and alphas as columns, and the
-    selected-set listing of accepted configurations.
+    table per metric with shots as rows and alphas as columns, the
+    selected-set listing of accepted configurations, and every grid cell's
+    quality-diagram data under diagrams/<config_id>/, skipped cells included.
     """
     dists = build_distributions(records, cfg)
     n_failed = Counter(r.config_id for r in records if r.error is not None)
@@ -493,6 +497,8 @@ def analyze(
         for name in ESTIMATES:
             _write_pivot_table(reports, name, cfg, os.path.join(out_dir, f"table_{name}.csv"))
         _write_selected(reports, os.path.join(out_dir, "selected.csv"))
+        for cid, dist in dists.items():
+            _write_diagram_data(records, dist, os.path.join(out_dir, "diagrams", cid))
     return reports
 
 
@@ -544,29 +550,23 @@ def _write_selected(reports: dict[str, MetricsReport], path: str) -> None:
             fh.write(f"{rep.alpha:g},{rep.shots}\n")
 
 
-def emit_quality_diagram_data(
-    records: list[RunRecord], cfg: ExperimentConfig, cid: str, out_dir: str
-) -> None:
+def _write_diagram_data(records: list[RunRecord], dist: VqaDistribution, out_dir: str) -> None:
     """Write plain columnar diagram data for one configuration.
 
     Produces scatter.csv with the normalized (u, v) run points, bins.csv with
     the 10x10 occupancy grid feeding reproducibility, and level_curves.csv
     sampling the quality level curves q in {1, 2, 4} for external plotting.
     """
-    dists = build_distributions(records, cfg)
-    if cid not in dists:
-        raise ValueError(f"unknown config id {cid!r}")
-    dist = dists[cid]
     os.makedirs(out_dir, exist_ok=True)
 
     with open(os.path.join(out_dir, "scatter.csv"), "w", encoding="utf-8") as fh:
         fh.write("run_index,n_calls,p_min,u,v\n")
         run_rows = sorted(
-            (r for r in records if r.config_id == cid and r.error is None),
+            (r for r in records if r.config_id == dist.config_id and r.error is None),
             key=_record_sort_key,
         )
         for rec in run_rows:
-            point = normalize(RunOutcome(rec.n_calls, rec.p_min), cfg.optimizer.n_max)
+            point = normalize(RunOutcome(rec.n_calls, rec.p_min), dist.n_max)
             fh.write(f"{rec.run_index},{rec.n_calls},{rec.p_min!r},{point.u!r},{point.v!r}\n")
 
     counts = diagram_occupancy(dist)
@@ -580,5 +580,5 @@ def emit_quality_diagram_data(
     with open(os.path.join(out_dir, "level_curves.csv"), "w", encoding="utf-8") as fh:
         fh.write("q,u,v\n")
         for q_value in LEVEL_CURVE_VALUES:
-            for u, v in quality_level_curve(q_value, cfg.p_threshold):
+            for u, v in quality_level_curve(q_value, dist.p_threshold):
                 fh.write(f"{q_value:g},{float(u)!r},{float(v)!r}\n")

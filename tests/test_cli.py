@@ -90,6 +90,17 @@ class TestAnalyze:
         stdout = capsys.readouterr().out
         assert "alpha=0.25_shots=20" in stdout
 
+    def test_missing_snapshot_fails_with_json_error(self, experiment_dir, capsys):
+        records = experiment_dir / "elsewhere" / "records.jsonl"
+        records.parent.mkdir()
+        records.write_bytes((experiment_dir / "out" / "records.jsonl").read_bytes())
+        code = main(["analyze", "--records", str(records),
+                     "--out-tables", str(experiment_dir / "tables")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError" and "config.json" in err["detail"]
+        assert not (experiment_dir / "tables").exists()
+
 
 class TestSelect:
     def test_reapplies_cascade(self, experiment_dir, capsys):
@@ -116,49 +127,50 @@ class TestSelect:
 
 
 class TestPlotData:
-    def test_uses_config_snapshot_next_to_records(self, experiment_dir):
-        out = experiment_dir / "out"
-        plot = experiment_dir / "plot"
-        code = main([
-            "plot-data",
-            "--records", str(out / "records.jsonl"),
-            "--config-id", "alpha=0.25_shots=20",
-            "--out", str(plot),
-        ])
-        assert code == 0
-        assert (plot / "scatter.csv").exists()
-        assert (plot / "bins.csv").exists()
-        assert (plot / "level_curves.csv").exists()
+    """The quality-diagram data that `analyze` writes for every grid cell."""
 
-    def test_unknown_config_id_fails(self, experiment_dir, capsys):
+    def test_uses_config_snapshot_next_to_records(self, experiment_dir):
+        # run, then analyze with the config taken from the run's snapshot:
+        # the tables and every cell's diagram data land under --out-tables
         out = experiment_dir / "out"
-        code = main([
-            "plot-data",
-            "--records", str(out / "records.jsonl"),
-            "--config-id", "alpha=0.9_shots=9",
-            "--out", str(experiment_dir / "plot2"),
-        ])
-        assert code == 2
-        assert "unknown config" in json.loads(capsys.readouterr().err)["detail"]
+        tables = out / "tables"
+        code = main(["analyze", "--records", str(out / "records.jsonl"),
+                     "--out-tables", str(tables)])
+        assert code == 0
+        assert (tables / "metrics.csv").exists()
+        cfg = tiny_config()
+        for alpha in cfg.alphas:
+            for shots in cfg.shots_grid:
+                cell = tables / "diagrams" / config_id(alpha, shots)
+                for name in ("scatter.csv", "bins.csv", "level_curves.csv"):
+                    assert (cell / name).exists()
 
 
 class TestDeskScript:
+    """The desk-mode sequence, run then analyze, driven from a shell."""
+
     def test_runs_analyzes_and_dumps_every_config(self, tmp_path):
         cfg = tiny_config()
         cfg_path = tmp_path / "cfg.json"
         save_config(cfg, str(cfg_path))
         out = tmp_path / "out"
-        script = Path(__file__).resolve().parents[1] / "scripts" / "run_desk_experiment.py"
+        src = str(Path(vqabench.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        cli = [sys.executable, "-m", "vqabench.cli"]
         subprocess.run(
-            [sys.executable, str(script), "--config", str(cfg_path), "--out", str(out),
-             "--workers", "1"],
-            check=True,
-            timeout=300,
+            cli + ["run", "--config", str(cfg_path), "--out", str(out), "--workers", "1"],
+            check=True, timeout=300, env=env,
+        )
+        subprocess.run(
+            cli + ["analyze", "--records", str(out / "records.jsonl"),
+                   "--out-tables", str(out / "tables")],
+            check=True, timeout=300, env=env,
         )
         assert (out / "tables" / "metrics.csv").exists()
         for alpha in cfg.alphas:
             for shots in cfg.shots_grid:
-                assert (out / "diagrams" / config_id(alpha, shots) / "scatter.csv").exists()
+                cell = out / "tables" / "diagrams" / config_id(alpha, shots)
+                assert (cell / "scatter.csv").exists()
 
 
 class TestImport:

@@ -19,7 +19,6 @@ from vqabench.harness import (
     analyze,
     build_distributions,
     config_id,
-    emit_quality_diagram_data,
     load_config,
     load_records,
     prepare_context,
@@ -119,6 +118,12 @@ class TestConfig:
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             tiny_config(alphas=[0.0])
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, math.nan])
+    def test_rejects_bad_confidence(self, confidence):
+        # caught here, before a sweep runs, not in analyze's z_value
+        with pytest.raises(ValueError, match="confidence"):
+            tiny_config(confidence=confidence)
 
     @pytest.mark.parametrize(
         "alphas,shots_grid",
@@ -332,8 +337,8 @@ class TestRunExperiment:
         assert (a / "records.jsonl").read_bytes() == (b / "records.jsonl").read_bytes()
 
     def test_pool_is_no_larger_than_the_pending_runs(self, tmp_path, monkeypatch):
-        # A forked pool starts all max_workers at once, each preparing its own
-        # context; this fake runs the initializer and the tasks in-process.
+        # A forked pool starts all max_workers processes at once; this fake
+        # runs the initializer and the tasks in-process.
         asked = []
 
         class InProcessPool:
@@ -384,6 +389,16 @@ class TestRunExperiment:
             assert len(records) == 2 * 2 * 3
         assert prepared == []
         assert records_path.read_bytes() == full
+
+    def test_unpreparable_context_fails_before_any_file_at_two_workers(self, tmp_path):
+        # The parent prepares the one context the workers share, so the
+        # error is the context's own at any worker count, not a broken pool.
+        out = tmp_path / "out"
+        cfg = tiny_config(initial_params_values=[0.1] * 7, initial_params_seed=None)
+        with pytest.raises(ValueError, match="initial_params"):
+            run_experiment(cfg, str(out), workers=2)
+        assert not (out / "config.json").exists()
+        assert not (out / "records.jsonl").exists()
 
     def test_config_snapshot_written(self, tmp_path):
         out = tmp_path / "out"
@@ -501,39 +516,52 @@ class TestAnalyze:
 
 
 class TestDiagramData:
+    @staticmethod
+    def diagram_rows(out_dir, cid, name):
+        return (out_dir / "diagrams" / cid / name).read_text().splitlines()[1:]
+
     def test_single_ideal_run_lands_at_origin(self, tmp_path):
-        cfg = tiny_config(runs_per_config=1)
+        cfg = tiny_config(alphas=[0.25], shots_grid=[20], runs_per_config=1)
         cid = config_id(0.25, 20)
         records = [
             RunRecord(config_id=cid, alpha=0.25, shots=20, run_index=0,
                       seed=1, n_calls=1, p_min=1.0, best_cost=0.0)
         ]
-        cfg.shots_grid = [20]
-        cfg.alphas = [0.25]
-        emit_quality_diagram_data(records, cfg, cid, str(tmp_path))
-        scatter = (tmp_path / "scatter.csv").read_text().splitlines()
-        assert scatter[1] == "0,1,1.0,0.0,0.0"
+        analyze(records, cfg, out_dir=str(tmp_path))
+        assert self.diagram_rows(tmp_path, cid, "scatter.csv") == ["0,1,1.0,0.0,0.0"]
 
     def test_bin_counts_partition_the_runs(self, tmp_path):
         cfg = tiny_config(runs_per_config=12)
         records = synthetic_records(cfg, {(a, s): 6 for a in cfg.alphas for s in cfg.shots_grid})
-        cid = config_id(1.0, 50)
-        emit_quality_diagram_data(records, cfg, cid, str(tmp_path))
-        rows = (tmp_path / "bins.csv").read_text().splitlines()[1:]
+        analyze(records, cfg, out_dir=str(tmp_path))
+        rows = self.diagram_rows(tmp_path, config_id(1.0, 50), "bins.csv")
         assert sum(int(r.split(",")[-1]) for r in rows) == 12
 
     def test_unit_level_curve_reaches_the_corner(self, tmp_path):
         cfg = tiny_config(runs_per_config=2)
         records = synthetic_records(cfg, {(a, s): 1 for a in cfg.alphas for s in cfg.shots_grid})
-        emit_quality_diagram_data(records, cfg, config_id(0.25, 20), str(tmp_path))
-        rows = [r.split(",") for r in (tmp_path / "level_curves.csv").read_text().splitlines()[1:]]
-        q1 = [(float(u), float(v)) for q, u, v in rows if q == "1"]
+        analyze(records, cfg, out_dir=str(tmp_path))
+        rows = self.diagram_rows(tmp_path, config_id(0.25, 20), "level_curves.csv")
+        q1 = [(float(u), float(v)) for q, u, v in (r.split(",") for r in rows) if q == "1"]
         assert q1[0] == pytest.approx((1.0, 0.0))
 
-    def test_unknown_config_id_rejected(self, tmp_path):
-        cfg = tiny_config()
-        with pytest.raises(ValueError, match="unknown config"):
-            emit_quality_diagram_data([], cfg, "alpha=0.9,shots=1", str(tmp_path))
+    def test_skipped_cells_still_get_their_diagram_files(self, tmp_path):
+        # Cells with fewer than two successful runs have no report, but
+        # their diagram data is written like every other cell's.
+        cfg = tiny_config(runs_per_config=2)
+        records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
+        one_left, none_left = config_id(0.25, 20), config_id(1.0, 20)
+        for rec in records:
+            if rec.config_id == none_left or (rec.config_id, rec.run_index) == (one_left, 1):
+                rec.error = "boom"
+                rec.n_calls = rec.p_min = rec.best_cost = None
+        reports = analyze(records, cfg, out_dir=str(tmp_path))
+        assert sorted(reports) == [config_id(0.25, 50), config_id(1.0, 50)]
+        for cid, n_runs in ((one_left, 1), (none_left, 0)):
+            assert len(self.diagram_rows(tmp_path, cid, "scatter.csv")) == n_runs
+            bins = self.diagram_rows(tmp_path, cid, "bins.csv")
+            assert sum(int(r.split(",")[-1]) for r in bins) == n_runs
+            assert self.diagram_rows(tmp_path, cid, "level_curves.csv")
 
 
 class TestRecordSerialization:
