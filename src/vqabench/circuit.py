@@ -29,12 +29,13 @@ type, which it gathers through without a conversion.
 Each RY gate of a later layer is one uniform step on two buffers. The state
 is copied into the other buffer with its index rotated right by one bit, so
 the qubit about to be rotated becomes the top bit and its amplitude pairs
-are the two contiguous halves of the array. The gate then updates the
-halves in place, with the rotation's source buffer as scratch:
-``c * a0 + (-s * a1)`` and ``c * a1 + s * a0`` are bit for bit the products
-and sums of ``c * a0 - s * a1`` and ``s * a0 + c * a1``. After the N gates of
-a layer the index has turned once round and is in the standard layout
-again.
+are the two contiguous halves of the array. The gate then writes ``-s * a1``
+and ``s * a0`` into the halves of the rotation's source buffer, scales the
+state by ``c`` and adds the two: ``c * a0 + (-s * a1)`` and ``c * a1 + s * a0``
+are bit for bit the products and sums of ``c * a0 - s * a1`` and
+``s * a0 + c * a1``. That is five numpy calls per gate on views made once
+per build, and no array built from Python numbers. After the N gates of a
+layer the index has turned once round and is in the standard layout again.
 
 Memory bounds building and sampling at N <= 24. A build works in two state
 buffers of 8 B per amplitude and gathers through the cached map, another 8 B
@@ -130,38 +131,44 @@ def build_statevector(
         raise ValueError(
             f"expected {spec.num_parameters} parameters for {spec}, got shape {theta.shape}"
         )
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("parameters must be finite")
     if buffers is None:
         buffers = (np.empty(1 << n), np.empty(1 << n))
-    state, other = buffers
+    state = buffers[0]
+    # Each half-angle as a Python float, the same quotient as float(t) / 2.0.
+    halves = (theta / 2.0).tolist()
 
     # Layer 0 acts on |0...0>, so it prepares a product state: qubit i splits
     # each of the 2^i amplitudes built so far into its cos part (bit i = 0)
     # and its sin part (bit i = 1), the same products an RY gate would form.
     state[0] = 1.0
-    for i in range(n):
-        half = float(theta[i]) / 2.0
+    for i, half in enumerate(halves[:n]):
         built = state[: 1 << i]
         np.multiply(built, math.sin(half), out=state[1 << i : 2 << i])
         built *= math.cos(half)
     h = 1 << (n - 1)
+    # Each buffer with the views a gate reads and writes, made once per build:
+    # (the buffer, its two halves as rows, the buffer with its index rotated
+    # right by one bit, its low half, its high half).
+    cur, spare = ((b, b.reshape(2, h), b.reshape(h, 2).T, b[:h], b[h:]) for b in buffers)
     for layer in range(1, spec.reps + 1):
         # The map is in range by construction; mode="raise" would copy out.
-        state.take(_entangler_source(n).base, out=other, mode="clip")
-        state, other = other, state
-        for i in range(n):
-            half = float(theta[layer * n + i]) / 2.0
+        cur[0].take(_entangler_source(n).base, out=spare[0], mode="clip")
+        cur, spare = spare, cur
+        for half in halves[layer * n : (layer + 1) * n]:
             c, s = math.cos(half), math.sin(half)
-            # Rotate the index right by one bit: after i + 1 rotations qubit i
-            # is the top bit, so its pairs are the two contiguous halves.
-            np.copyto(other.reshape(2, h), state.reshape(h, 2).T)
-            state, other = other, state
-            pair = state.reshape(2, h)
-            np.multiply(pair[::-1], [[-s], [s]], out=other.reshape(2, h))
-            pair *= c
-            pair += other.reshape(2, h)
+            # Rotate the index right by one bit: the gate's qubit becomes the
+            # top bit, so its pairs are the two contiguous halves.
+            np.copyto(spare[1], cur[2])
+            cur, spare = spare, cur
+            state, _, _, low, high = cur
+            np.multiply(high, -s, out=spare[3])
+            np.multiply(low, s, out=spare[4])
+            state *= c
+            state += spare[0]
         # N rotations bring the index back to the standard layout.
+    state = cur[0]
 
     assert abs(float(np.dot(state, state)) - 1.0) < 1e-10, "norm drifted"
     return state
@@ -173,7 +180,7 @@ def _born_probabilities(
     """Born-rule probabilities, in ``out`` if given, and their total, summed
     once for both the normalization check and the callers that rescale by it."""
     p = np.square(state, out=out)
-    total = float(p.sum())
+    total = float(np.add.reduce(p))
     assert abs(total - 1.0) < 1e-10, f"state not normalized: sum p = {total}"
     return p, total
 
@@ -223,10 +230,11 @@ def sample_bitstrings(
         raise ValueError(f"shots must be >= 1, got {shots}")
     cdf, total = _born_probabilities(state, out=scratch)
     cdf /= total
-    np.cumsum(cdf, out=cdf)
+    cdf.cumsum(out=cdf)
     cdf /= cdf[-1]
     idx = np.empty(shots, dtype=np.intp) if out is None else out
     d = len(cdf)
+    u = np.empty(min(shots, _CHUNK))
     if shots >= d:
         # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power
         # of two, so u * k and cdf * k are exact and bucket b = floor(u * k)
@@ -241,10 +249,10 @@ def sample_bitstrings(
         # written over them.
         keys = np.multiply(cdf, k, out=below[:d], casting="unsafe")
         count = np.bincount(keys, minlength=k + 1)
-        np.cumsum(count, out=below)
+        count.cumsum(out=below)
         below -= count
         np.greater(count, 1, out=multi)
-    u = np.empty(min(shots, _CHUNK))
+        bucket = np.empty(len(u), dtype=np.intp)
     for lo in range(0, shots, _CHUNK):
         uc = u[: min(_CHUNK, shots - lo)]
         rng.random(out=uc)
@@ -252,10 +260,12 @@ def sample_bitstrings(
         if shots < d:
             # Sorted keys walk the CDF forward, each search starting from the
             # last one's answer; the scatter restores draw order.
-            order = np.argsort(uc)
+            order = uc.argsort()
             chunk[order] = cdf.searchsorted(uc[order], side="right")
             continue
-        b = (uc * k).astype(np.intp)
+        # The product is formed in float64 and truncated on the cast into
+        # the intp buffer, as ``(uc * k).astype(np.intp)`` would.
+        b = np.multiply(uc, k, out=bucket[: len(uc)], casting="unsafe")
         # Indices are in range by construction; mode="raise" would copy out.
         below.take(b, out=chunk, mode="clip")
         chunk += cdf[chunk] <= uc
@@ -264,11 +274,15 @@ def sample_bitstrings(
     return idx
 
 
-def exact_p_min(state: np.ndarray, q: QuboInstance) -> float:
+def exact_p_min(
+    state: np.ndarray, q: QuboInstance, scratch: np.ndarray | None = None
+) -> float:
     """Exact probability of measuring a global-minimum bitstring.
 
     Computed from the statevector, not estimated from shots, so the success
-    probability of an output circuit carries no sampling noise.
+    probability of an output circuit carries no sampling noise. The Born
+    probabilities go into ``scratch`` (a 2^N ``float64`` array other than
+    ``state``) when a caller lends one, and into a new array without it.
     """
     if q.minimizers is None:
         raise ValueError("minimizers not populated; run brute_force_minimum first")
@@ -276,7 +290,7 @@ def exact_p_min(state: np.ndarray, q: QuboInstance) -> float:
         raise ValueError(
             f"state dimension {len(state)} does not match 2^{q.dimension}"
         )
-    p, total = _born_probabilities(state)
+    p, total = _born_probabilities(state, out=scratch)
     indices = np.fromiter((bits_to_index(m) for m in q.minimizers), dtype=np.int64)
     # Rescale by the realized total mass: removes ~1e-16 normalization drift,
     # and a fully degenerate instance (every bitstring minimal) gives exactly 1.

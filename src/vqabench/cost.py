@@ -35,9 +35,10 @@ def cvar(costs: np.ndarray, alpha: float) -> float:
     if values.size == 0:
         raise ValueError("cannot take CVaR of an empty sample")
     m = cvar_tail_count(values.size, alpha)
-    if m == values.size:
-        return float(values.mean())
-    return float(np.partition(values, m - 1)[:m].mean())
+    tail = values if m == values.size else np.partition(values, m - 1)[:m]
+    # ``tail.mean()`` without its dispatch: the same pairwise sum, then the
+    # same division by the count.
+    return float(np.add.reduce(tail)) / m
 
 
 # Each thread's working memory for the last N and ``shots`` it priced, reused
@@ -54,6 +55,13 @@ def _reused(name: str, key, make):
         held = (key, make())
         setattr(_buffers, name, held)
     return held[1]
+
+
+def state_buffers(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's pair of 2^N ``float64`` state buffers for
+    ``build_statevector``, kept for the next call at the same N."""
+    d = 1 << n_qubits
+    return _reused("states", d, lambda: (np.empty(d), np.empty(d)))
 
 
 def cost_estimate(
@@ -73,10 +81,12 @@ def cost_estimate(
     circuit evaluated when counting optimizer calls. Every array that scales
     with 2^N or with ``shots`` lives in this thread's buffers and never
     leaves the call, so the steady state allocates none of them but CVaR's
-    own partition and, from 2^N shots up, the guide table's counts.
+    own partition and, from 2^N shots up, the guide table's counts; the rest
+    is chunk-sized. A run's last build and its ``exact_p_min`` use the same
+    state pair, through ``state_buffers``.
     """
     d = 1 << spec.n_qubits
-    states = _reused("states", d, lambda: (np.empty(d), np.empty(d)))
+    states = state_buffers(spec.n_qubits)
     state = build_statevector(spec, params, buffers=states)
     samples, costs = _reused(
         "shots",

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import metrics
 from .circuit import AnsatzSpec, build_statevector, exact_p_min
-from .cost import cost_estimate
+from .cost import cost_estimate, state_buffers
 from .metrics import (
     ESTIMATES,
     METRICS_CSV_COLUMNS,
@@ -293,8 +293,11 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
             return cost_estimate(ctx.spec, params, ctx.cost_table, alpha, shots, rng)
 
         result = minimize(objective, ctx.initial_params, ctx.settings)
-        state = build_statevector(ctx.spec, result.final_params)
-        p_min = exact_p_min(state, ctx.qubo)
+        # The last build and its probabilities reuse the objective's buffers.
+        states = state_buffers(ctx.spec.n_qubits)
+        state = build_statevector(ctx.spec, result.final_params, buffers=states)
+        spare = states[1] if state is states[0] else states[0]
+        p_min = exact_p_min(state, ctx.qubo, scratch=spare)
         # set together, after the last call that can raise: a record holds
         # either the whole outcome or the error
         rec.n_calls, rec.p_min, rec.best_cost = result.n_calls, p_min, result.best_value

@@ -74,7 +74,7 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
     x0 = np.array(initial, dtype=np.float64)
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError(f"initial point must be a non-empty vector, got shape {x0.shape}")
-    if not np.all(np.isfinite(x0)):
+    if not np.isfinite(x0).all():
         raise ValueError("initial point must be finite")
     k = x0.size
     if settings.n_max < k + 2:
@@ -120,10 +120,12 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
     rho = settings.rho_beg
     while len(history) < settings.n_max and rho >= settings.rho_end:
         # Pivot the best vertex (the pole) into row 0.
-        b = int(np.argmin(fvals))
+        b = int(fvals.argmin())
         if b != 0:
-            verts[[0, b]] = verts[[b, 0]]
-            fvals[[0, b]] = fvals[[b, 0]]
+            row = verts[0].copy()
+            verts[0] = verts[b]
+            verts[b] = row
+            fvals[0], fvals[b] = fvals[b], fvals[0]
         pole, fpole = verts[0], fvals[0]
         span = verts[1:] - pole  # row j: offset of vertex j+1
         with np.errstate(invalid="ignore"):  # inf vertices give nan differences
@@ -134,23 +136,23 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
             # Rank-deficient simplex: push the shortest offset along the
             # null direction to restore a basis.
             null_dir = np.linalg.svd(span)[2][-1]
-            j = int(np.argmin(np.linalg.norm(span, axis=1)))
+            j = int(_norms(span, axis=1).argmin())
             step = _GEOM_FRACTION * rho * null_dir
             step = _orient_downhill(step, span, df)
             verts[j + 1] = pole + step
             fvals[j + 1] = call(verts[j + 1])
             continue
 
-        lengths = np.linalg.norm(span, axis=1)
-        extents = 1.0 / np.linalg.norm(inv, axis=0)  # column j: normal of vertex j+1
+        lengths = _norms(span, axis=1)
+        extents = 1.0 / _norms(inv, axis=0)  # column j: normal of vertex j+1
         if lengths.max() > _BETA * rho or extents.min() < _ALPHA * rho:
             # Geometry repair: rebuild the worst-placed vertex at half the
             # trust radius along its orthogonal-complement direction.
             if lengths.max() > _BETA * rho:
-                j = int(np.argmax(lengths))
+                j = int(lengths.argmax())
             else:
-                j = int(np.argmin(extents))
-            direction = inv[:, j] / np.linalg.norm(inv[:, j])
+                j = int(extents.argmin())
+            direction = inv[:, j] / _norm(inv[:, j])
             step = _orient_downhill(_GEOM_FRACTION * rho * direction, span, df)
             verts[j + 1] = pole + step
             fvals[j + 1] = call(verts[j + 1])
@@ -161,7 +163,7 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
         # vertex stuck at +inf) falls through to the radius shrink below.
         with np.errstate(invalid="ignore", over="ignore"):
             g = inv @ df
-        gnorm = float(np.linalg.norm(g))
+        gnorm = _norm(g)
         predicted = rho * gnorm
         if not math.isfinite(predicted) or predicted <= 1e-13 * max(1.0, abs(fpole)):
             rho *= _SHRINK
@@ -174,14 +176,14 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
             # Good step: drop the vertex whose span coefficient the step uses
             # most, which keeps the simplex well conditioned.
             coeffs = inv.T @ (xnew - pole)
-            j = int(np.argmax(np.abs(coeffs)))
+            j = int(np.abs(coeffs).argmax())
             verts[j + 1] = xnew
             fvals[j + 1] = fnew
         else:
             # Poor step with sound geometry: the model is trustworthy at this
             # scale, so tighten the radius; keep the point if it at least
             # improves the worst vertex.
-            w = 1 + int(np.argmax(fvals[1:]))
+            w = 1 + int(fvals[1:].argmax())
             if fnew < fvals[w]:
                 verts[w] = xnew
                 fvals[w] = fnew
@@ -195,16 +197,30 @@ def _inverse_or_none(span: np.ndarray) -> np.ndarray | None:
         inv = np.linalg.inv(span)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(inv)):
+    if not np.isfinite(inv).all():
         return None
     return inv
 
 
 def _orient_downhill(step: np.ndarray, span: np.ndarray, df: np.ndarray) -> np.ndarray:
     """Flip a geometry step so the least-squares model predicts descent."""
-    if not np.all(np.isfinite(df)):
+    if not np.isfinite(df).all():
         return step
     g = np.linalg.lstsq(span, df, rcond=None)[0]
-    if np.all(np.isfinite(g)) and float(g @ step) > 0.0:
+    if np.isfinite(g).all() and float(g @ step) > 0.0:
         return -step
     return step
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` without its dispatch: the same
+    squares, pairwise sums and square roots."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a vector without its dispatch: like norm, a
+    ``dot`` over a contiguous copy, since a ``dot`` over a strided view can
+    sum in another order."""
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))

@@ -20,6 +20,7 @@ from scipy.stats import chisquare
 from vqabench.circuit import (
     _CHUNK,
     AnsatzSpec,
+    _born_probabilities,
     _entangler_source,
     build_statevector,
     exact_p_min,
@@ -210,6 +211,14 @@ class TestExactProbabilities:
         state = build_statevector(spec, rng.uniform(-3, 3, spec.num_parameters))
         assert exact_probabilities(state).sum() == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("size", [1, 7, 9, 129, 100_000])
+    def test_total_equals_the_sum_it_replaced(self, size):
+        # The total is ``np.add.reduce``, bit for bit the ``sum`` it replaced.
+        state = np.random.default_rng(size).normal(size=size)
+        state /= math.sqrt(state @ state)
+        total = _born_probabilities(state)[1]
+        assert total.hex() == float(np.square(state).sum()).hex()
+
 
 class TestSampling:
     def test_point_mass_always_hits(self):
@@ -234,6 +243,21 @@ class TestSampling:
         state = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="shots"):
             sample_bitstrings(state, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size", [1, 7, 9, 129, 100_000])
+    @pytest.mark.parametrize("n", [1, 6, 12, 16])
+    def test_bucket_index_truncates_as_astype(self, size, n):
+        # The guide path writes floor(u * k) into an intp buffer with an
+        # unsafe cast; it must equal ``(u * k).astype(np.intp)``, also next
+        # to bucket edges and just below 1.
+        k = 2 << n
+        rng = np.random.default_rng(size + n)
+        u = rng.random(size)
+        edges = rng.integers(0, k, size) / k
+        for draws in (u, edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                      np.full(size, np.nextafter(1.0, 0.0))):
+            bucket = np.multiply(draws, k, out=np.empty(size, dtype=np.intp), casting="unsafe")
+            assert np.array_equal(bucket, (draws * k).astype(np.intp))
 
     @staticmethod
     def _state(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:

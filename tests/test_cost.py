@@ -71,6 +71,30 @@ class TestCvar:
         assert cvar(costs, alpha) == pytest.approx(cvar(shuffled, alpha), abs=1e-9)
 
 
+#: Sizes on both sides of numpy's 8-way unrolled sum and its 128-element
+#: pairwise blocks, up to the paper's shot counts.
+SUM_SIZES = [1, 7, 9, 129, 100_000]
+
+
+class TestCvarBits:
+    """``cvar`` sums its tail with ``np.add.reduce`` and divides by the count:
+    bit for bit the ``mean`` it replaced."""
+
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    @pytest.mark.parametrize("alpha", [0.01, 0.15, 0.25, 0.5, 0.999])
+    def test_tail_equals_partition_mean(self, size, alpha):
+        values = np.random.default_rng(size).normal(-3.0, 40.0, size)
+        m = cvar_tail_count(size, alpha)
+        tail = values if m == size else np.partition(values, m - 1)[:m]
+        expected = float(tail.mean())
+        assert cvar(values, alpha).hex() == expected.hex()
+
+    @pytest.mark.parametrize("size", SUM_SIZES)
+    def test_full_sample_equals_mean(self, size):
+        values = np.random.default_rng(size).normal(-3.0, 40.0, size)
+        assert cvar(values, 1.0).hex() == float(values.mean()).hex()
+
+
 class TestCostEstimate:
     def test_zero_matrix_costs_nothing(self):
         q = QuboInstance(matrix=np.zeros((3, 3)))

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields, replace
@@ -220,6 +221,39 @@ class TestRunSingle:
         rec = run_single(ctx, 0.25, 20, run_index=0)
         assert rec.error is not None and "sampler exploded" in rec.error
         assert rec.n_calls is None
+
+    def test_warm_final_build_and_p_min_allocate_nothing_state_sized(self, monkeypatch):
+        # The last build and exact_p_min reuse the objective's state buffers
+        # of this thread, so a warm N=16 run allocates far less there than one
+        # 2^N float64 state (1.0 here): two fresh build buffers would be 2.0
+        # and fresh Born probabilities 1.0.
+        n = 16
+        ctx = prepare_context(tiny_config(
+            qubo_dimension=n, reps=1,
+            optimizer=OptimizerSettings(n_max=2 * n + 2, rho_beg=1.0, rho_end=1e-3),
+        ))
+        peaks = {}
+
+        def traced(name, fn):
+            def call(*args, **kwargs):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    peaks[name] = tracemalloc.get_traced_memory()[1] - before
+            return call
+
+        for name in ("build_statevector", "exact_p_min"):
+            monkeypatch.setattr(harness, name, traced(name, getattr(harness, name)))
+        run_single(ctx, 0.25, 20, run_index=0)
+        tracemalloc.start()
+        try:
+            rec = run_single(ctx, 0.25, 20, run_index=1)
+        finally:
+            tracemalloc.stop()
+        assert rec.error is None and sorted(peaks) == ["build_statevector", "exact_p_min"]
+        assert max(peaks.values()) <= 0.25 * (1 << n) * 8
 
     def test_wall_time_excluded_from_serialization(self):
         ctx = prepare_context(tiny_config())

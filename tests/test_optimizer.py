@@ -5,7 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from vqabench.optimizer import OptimizationResult, OptimizerSettings, minimize
+from vqabench.optimizer import (
+    OptimizationResult,
+    OptimizerSettings,
+    _norm,
+    _norms,
+    minimize,
+)
 
 
 def quadratic(x):
@@ -137,3 +143,30 @@ class TestValidation:
     def test_result_type(self):
         result = minimize(quadratic, np.zeros(2), OptimizerSettings(100, 0.5, 1e-5))
         assert isinstance(result, OptimizationResult)
+
+
+class TestNormBits:
+    """The optimizer's norms are bit for bit ``np.linalg.norm``'s, on both
+    sides of numpy's 8-way unrolled sum and its 128-element pairwise blocks."""
+
+    SIZES = [1, 7, 9, 129, 100_000]
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_row_and_column_norms(self, size, axis):
+        rng = np.random.default_rng(size)
+        for x in (rng.normal(0.0, 3.0, (4, size)), rng.normal(0.0, 3.0, (size, 4))):
+            assert _norms(x, axis=axis).tobytes() == np.linalg.norm(x, axis=axis).tobytes()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_vector_norm(self, size):
+        v = np.random.default_rng(size).normal(0.0, 3.0, size)
+        assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_non_contiguous_column_norm(self, size):
+        x = np.random.default_rng(size).normal(0.0, 3.0, (size, 5))
+        for j in range(5):
+            column = x[:, j]
+            assert not column.flags.c_contiguous or size == 1
+            assert _norm(column).hex() == float(np.linalg.norm(column)).hex()
