@@ -20,15 +20,15 @@ stochasticity enters only through the sampling stream of the cost estimate.
 
 from __future__ import annotations
 
-import csv
+# csv, logging and concurrent.futures are imported in the functions that use
+# them: a run's set-up (import plus prepare_context) needs none of them, and a
+# serial run never needs the pool.
 import hashlib
 import json
-import logging
 import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields
 from itertools import product
 from typing import get_type_hints
@@ -53,8 +53,6 @@ from .metrics import (
 )
 from .optimizer import OptimizerSettings, minimize
 from .qubo import QuboInstance, all_costs, brute_force_minimum, load_qubo, random_qubo
-
-log = logging.getLogger(__name__)
 
 RECORDS_FILENAME = "records.jsonl"
 TIMINGS_FILENAME = "timings.jsonl"
@@ -425,6 +423,8 @@ def run_experiment(
         # more than there are runs.
         workers = min(workers, len(tasks))
         if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             with ProcessPoolExecutor(
                 max_workers=workers, initializer=_worker_init, initargs=(ctx,)
             ) as pool:
@@ -486,7 +486,9 @@ def analyze(
         cid = config_id(alpha, shots)
         dist = dists[cid]
         if len(dist) < 2:
-            log.warning(
+            import logging
+
+            logging.getLogger(__name__).warning(
                 "config %s skipped: %d successful runs (%d failed)",
                 cid, len(dist), n_failed[cid],
             )
@@ -506,6 +508,8 @@ def analyze(
 
 
 def write_metrics_csv(reports: dict[str, MetricsReport], path: str) -> None:
+    import csv
+
     rows = sorted(reports.values(), key=lambda r: (r.alpha, r.shots))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -515,6 +519,8 @@ def write_metrics_csv(reports: dict[str, MetricsReport], path: str) -> None:
 
 def read_metrics_csv(path: str) -> list[dict]:
     """Rows of a metrics.csv as dicts with numeric fields parsed."""
+    import csv
+
     with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     for row in rows:

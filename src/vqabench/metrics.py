@@ -29,7 +29,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +146,8 @@ def z_value(confidence: float) -> float:
     """Two-sided standard normal quantile for a confidence level."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    from statistics import NormalDist  # imported here: only analysis needs it
+
     return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 

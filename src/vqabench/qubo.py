@@ -23,11 +23,6 @@ DEFAULT_EXHAUSTIVE_LIMIT = 24
 #: Loading rejects matrices with max |Q[i,j] - Q[j,i]| above this.
 SYMMETRY_TOLERANCE = 1e-12
 
-#: Rows per enumeration block. Each block's bit matrix and its temporaries
-#: take a few times 8 B x rows x N; at N = 16 the whole set-up peaks below
-#: twice the table's size.
-_ENUM_CHUNK = 1 << 10
-
 
 def bits_to_index(bits: BitString) -> int:
     """Basis index of a bitstring (bit i weighted 2**i)."""
@@ -61,7 +56,9 @@ class QuboInstance:
         m = np.array(self.matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise ValueError(f"matrix must be square and non-empty, got shape {m.shape}")
-        skew = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+        if not np.isfinite(m).all():
+            raise ValueError("matrix is not finite: it holds NaN or infinite entries")
+        skew = float(np.max(np.abs(m - m.T)))
         if skew > SYMMETRY_TOLERANCE:
             raise ValueError(f"matrix is not symmetric: max |Q[i,j] - Q[j,i]| = {skew:g}")
         m.setflags(write=False)
@@ -80,25 +77,32 @@ def evaluate(q: QuboInstance, x: BitString | np.ndarray) -> float:
     return float(v @ q.matrix @ v)
 
 
-def _bit_block(indices: np.ndarray, dimension: int) -> np.ndarray:
-    """(len(indices), dimension) float matrix of bit values, LSB first."""
-    return ((indices[:, None] >> np.arange(dimension)) & 1).astype(np.float64)
-
-
 def all_costs(q: QuboInstance) -> np.ndarray:
     """Costs of every bitstring, indexed by basis index. O(2^N) memory, so a
-    dimension above DEFAULT_EXHAUSTIVE_LIMIT is refused."""
+    dimension above DEFAULT_EXHAUSTIVE_LIMIT is refused.
+
+    Summation order (part of the determinism contract): each cost starts at
+    +0.0 and adds Q[j, k] for every pair (j, k) with x_j = x_k = 1, in
+    lexicographic (j, k) order. That is the order in which
+    ``np.einsum("ij,jk,ik->i", bits, Q, bits)`` sums one row's terms; its
+    other terms are +-0.0, and adding +-0.0 changes no bit of a sum of finite
+    terms that starts at +0.0 (such a sum is never -0.0), so both give the
+    same table byte for byte. Each pair is one in-place add on the n-d view
+    of the table in which both bits are 1 (axis N-1-i holds bit i), so the
+    set-up allocates nothing of the table's size beside it.
+    """
     n = q.dimension
     if n > DEFAULT_EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"dimension {n} exceeds the exhaustive enumeration limit {DEFAULT_EXHAUSTIVE_LIMIT}"
         )
-    out = np.empty(1 << n, dtype=np.float64)
-    for start in range(0, 1 << n, _ENUM_CHUNK):
-        stop = min(start + _ENUM_CHUNK, 1 << n)
-        bits = _bit_block(np.arange(start, stop, dtype=np.int64), n)
-        out[start:stop] = np.einsum("ij,jk,ik->i", bits, q.matrix, bits)
-    return out
+    acc = np.zeros((2,) * n, dtype=np.float64)
+    for j, row in enumerate(q.matrix.tolist()):
+        for k, value in enumerate(row):
+            view = [slice(None)] * n
+            view[n - 1 - j] = view[n - 1 - k] = 1
+            acc[tuple(view)] += value
+    return acc.reshape(-1)
 
 
 def brute_force_minimum(

@@ -179,3 +179,24 @@ class TestImport:
         code = "import sys, vqabench.cli; assert 'scipy' not in sys.modules, sorted(sys.modules)"
         env = {**os.environ, "PYTHONPATH": src}
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60, env=env)
+
+    def test_set_up_and_serial_runs_load_no_unused_stdlib_modules(self, tmp_path):
+        # A run's set-up needs no CSV, logging, statistics or process pool,
+        # and a serial sweep needs no pool either.
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(), str(cfg_path))
+        src = str(Path(vqabench.__file__).resolve().parents[1])
+        code = (
+            "import sys, vqabench.cli\n"
+            "unused = ('concurrent.futures', 'logging', 'statistics', 'csv')\n"
+            "assert not [m for m in unused if m in sys.modules], sorted(sys.modules)\n"
+            "from vqabench.harness import load_config, run_experiment\n"
+            "run_experiment(load_config(sys.argv[1]), sys.argv[2], workers=1)\n"
+            "assert 'concurrent.futures' not in sys.modules, sorted(sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-c", code, str(cfg_path), str(tmp_path / "out")],
+            check=True, timeout=120, env=env,
+        )
+        assert len((tmp_path / "out" / "records.jsonl").read_text().splitlines()) == 12

@@ -1,5 +1,6 @@
 """Tests for experiment orchestration, record persistence, and analysis tables."""
 
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -391,7 +392,7 @@ class TestRunExperiment:
                 fut.set_result(fn(*args))
                 return fut
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
         out = tmp_path / "out"
         run_experiment(tiny_config(), str(out), workers=64)

@@ -26,6 +26,18 @@ def make_qubo(rows) -> QuboInstance:
     return QuboInstance(matrix=np.array(rows, dtype=float))
 
 
+class TestConstruction:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entry_rejected(self, value, where):
+        # A NaN or infinite entry would make every cost NaN, the minimizers
+        # empty and every run's p_min 0.
+        m = np.zeros((3, 3))
+        m[where] = m[where[::-1]] = value
+        with pytest.raises(ValueError, match="not finite"):
+            QuboInstance(matrix=m)
+
+
 class TestEvaluate:
     def test_all_zeros_is_free(self):
         q = random_qubo(5, seed=1)
@@ -161,6 +173,14 @@ class TestFileFormat:
         with pytest.raises(ValueError, match="shape"):
             load_qubo(str(path))
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_rejected(self, tmp_path, token):
+        # Python's json reads these tokens as float nan and +-inf.
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"dimension": 2, "matrix": [[0.0, {token}], [{token}, 0.0]]}}')
+        with pytest.raises(ValueError, match="not finite"):
+            load_qubo(str(path))
+
 
 def test_all_costs_matches_evaluate():
     q = random_qubo(7, seed=2)
@@ -169,22 +189,51 @@ def test_all_costs_matches_evaluate():
         assert table[index] == pytest.approx(evaluate(q, index_to_bits(index, 7)), abs=1e-12)
 
 
+def einsum_costs(q: QuboInstance) -> np.ndarray:
+    """The cost table as the row-blocked ``einsum("ij,jk,ik->i", bits, Q, bits)``
+    that all_costs replaced: the oracle for its summation order."""
+    n = q.dimension
+    out = np.empty(1 << n, dtype=np.float64)
+    for start in range(0, 1 << n, 1 << 10):
+        indices = np.arange(start, min(start + (1 << 10), 1 << n), dtype=np.int64)
+        bits = ((indices[:, None] >> np.arange(n)) & 1).astype(np.float64)
+        out[start:start + len(indices)] = np.einsum("ij,jk,ik->i", bits, q.matrix, bits)
+    return out
+
+
+@pytest.mark.parametrize("value_range", [(-10.0, 10.0), (0.0, 1e-300), (-1e300, 1e300)])
+@pytest.mark.parametrize("n", [*range(1, 19), 20])
+def test_all_costs_equals_the_einsum_table_byte_for_byte(n, value_range):
+    # Both add each cost's Q[j, k] terms in (j, k) order from +0.0; einsum's
+    # extra terms are +-0.0, which leave every sum's bits as they are.
+    for seed in range(1 if n > 16 else 3):
+        q = random_qubo(n, seed=seed, value_range=value_range)
+        assert qubo.all_costs(q).tobytes() == einsum_costs(q).tobytes()
+
+
 @pytest.mark.parametrize(
-    "n,block", [(1, 1), (3, 1), (3, 7), (6, 7), (6, 256), (12, 7), (12, 256), (16, 256), (16, 4096)]
+    "matrix",
+    [
+        np.zeros((5, 5)),
+        np.full((5, 5), -0.0),
+        np.full((6, 6), 3.25),
+        np.full((4, 4), -1.5),
+        # configs/desk_mode.json, the benchmark's N=12 cut of
+        # configs/full_scale.json, and configs/full_scale.json
+        random_qubo(6, seed=3).matrix,
+        random_qubo(12, seed=2025).matrix,
+        random_qubo(16, seed=2025).matrix,
+    ],
+    ids=["zero", "negative-zero", "constant", "negative-constant", "desk", "n12", "n16"],
 )
-def test_all_costs_independent_of_the_block_size(monkeypatch, n, block):
-    # Each row's einsum sums the same products in the same order in any block.
-    for seed in range(4):
-        q = random_qubo(n, seed=seed)
-        expected = qubo.all_costs(q)
-        monkeypatch.setattr(qubo, "_ENUM_CHUNK", block)
-        assert np.array_equal(qubo.all_costs(q), expected)
-        monkeypatch.undo()
+def test_all_costs_equals_the_einsum_table_on_fixed_matrices(matrix):
+    q = QuboInstance(matrix=matrix)
+    assert qubo.all_costs(q).tobytes() == einsum_costs(q).tobytes()
 
 
 def test_all_costs_peaks_below_the_table_plus_one_state():
-    # Enumerating in blocks keeps the set-up's transient below one 2^N float64
-    # array beside the table it fills.
+    # The pairs are added in place on views of the table, so the set-up's
+    # transient stays below half a 2^N float64 array beside the table.
     q = random_qubo(16, seed=0)
     tracemalloc.start()
     try:
@@ -192,4 +241,4 @@ def test_all_costs_peaks_below_the_table_plus_one_state():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * table.nbytes
+    assert peak <= 1.5 * table.nbytes
