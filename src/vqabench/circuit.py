@@ -65,9 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import QuboInstance, bits_to_index
+from .qubo import MAX_QUBITS, QuboInstance, bits_to_index
 
-MAX_QUBITS = 24
 #: Draws resolved per pass of the guide table: small enough that a pass's
 #: temporaries stay in L2, large enough to amortize the per-pass calls.
 _CHUNK = 1 << 13

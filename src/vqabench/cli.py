@@ -1,16 +1,17 @@
-"""Command-line interface: run experiments, analyze records, select.
+"""Command-line interface: run experiments and analyze their records.
 
 Subcommands:
     run      --config <file> --out <dir> [--workers N] [--resume]
     analyze  --records <file> --out-tables <dir> [--config <file>] [--strict]
-    select   --metrics <csv> --thresholds f0,q0,r0 [--strict]
 
-``analyze`` writes the metric tables and every cell's quality-diagram data
-under diagrams/<config_id>/, and reads the config snapshot written next to
-the records file unless --config is given. VQABENCH_MASTER_SEED and
-VQABENCH_WORKERS override the config's master seed and the worker count.
-Exit status is 0 on success; failures print a one-line JSON error to stderr
-and exit nonzero.
+``run`` takes every run input from the config file, and the worker count
+from --workers. ``analyze`` applies the selection cascade to the records
+and writes the metric tables, selected.csv and every cell's quality-diagram
+data under diagrams/<config_id>/. It reads the config snapshot written next
+to the records file unless --config is given, so a copy of that config with
+other thresholds or another confidence re-selects the same records, and
+--strict selects on the interval edges. Exit status is 0 on success;
+failures print a one-line JSON error to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ import json
 import os
 import sys
 
-from .harness import (
-    CONFIG_SNAPSHOT_FILENAME,
-    analyze,
-    load_config,
-    load_records,
-    read_metrics_csv,
-    run_experiment,
-)
-from .metrics import ESTIMATES, SelectionThresholds, select
+from .harness import CONFIG_SNAPSHOT_FILENAME, analyze, load_config, load_records, run_experiment
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,20 +44,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--out-tables", required=True)
     p_an.add_argument("--strict", action="store_true")
 
-    p_sel = sub.add_parser("select", help="re-apply the selection cascade to a metrics CSV")
-    p_sel.add_argument("--metrics", required=True)
-    p_sel.add_argument("--thresholds", required=True, metavar="f0,q0,r0")
-    p_sel.add_argument("--strict", action="store_true")
-
     return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    if "VQABENCH_MASTER_SEED" in os.environ:
-        cfg.master_seed = int(os.environ["VQABENCH_MASTER_SEED"])
-    workers = int(os.environ.get("VQABENCH_WORKERS", args.workers))
-    records = run_experiment(cfg, args.out, workers=workers, resume=args.resume)
+    records = run_experiment(cfg, args.out, workers=args.workers, resume=args.resume)
     n_failed = sum(1 for r in records if r.error is not None)
     print(f"{len(records)} records written to {args.out} ({n_failed} failed)")
     return 0
@@ -86,30 +71,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_select(args: argparse.Namespace) -> int:
-    parts = [float(x) for x in args.thresholds.split(",")]
-    if len(parts) != 3:
-        raise ValueError("--thresholds expects three comma-separated values: f0,q0,r0")
-    thresholds = SelectionThresholds(*parts)
-    print("config_id,alpha,shots,verdict")
-    for row in read_metrics_csv(args.metrics):
-        verdict = select(
-            *(row[name] for name in ESTIMATES),
-            thresholds,
-            strict=args.strict,
-            half_widths=tuple(row[f"{name}_err"] for name in ESTIMATES),
-        )
-        print(f"{row['config_id']},{row['alpha']:g},{row['shots']},{verdict.value}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "analyze": _cmd_analyze,
-        "select": _cmd_select,
-    }
+    handlers = {"run": _cmd_run, "analyze": _cmd_analyze}
     try:
         return handlers[args.command](args)
     except Exception as exc:

@@ -255,6 +255,8 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
             raise ValueError(
                 f"initial_params has {theta0.size} values, ansatz needs {spec.num_parameters}"
             )
+        if not np.isfinite(theta0).all():
+            raise ValueError("initial_params values must be finite")
     else:
         seed = cfg.initial_params_seed
         if seed is None:
@@ -515,20 +517,6 @@ def write_metrics_csv(reports: dict[str, MetricsReport], path: str) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(METRICS_CSV_COLUMNS)
         writer.writerows(rep.to_csv_row() for rep in rows)
-
-
-def read_metrics_csv(path: str) -> list[dict]:
-    """Rows of a metrics.csv as dicts with numeric fields parsed."""
-    import csv
-
-    with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        for key in row:
-            if key in ("config_id", "verdict"):
-                continue
-            row[key] = int(row[key]) if key in ("shots", "n_runs") else float(row[key])
-    return rows
 
 
 def _write_pivot_table(reports, name: str, cfg: ExperimentConfig, path: str) -> None:

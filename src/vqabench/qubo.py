@@ -16,9 +16,10 @@ import numpy as np
 
 BitString = tuple[int, ...]
 
-#: Largest dimension all_costs, and so brute_force_minimum, will enumerate
-#: (~16M bitstrings).
-DEFAULT_EXHAUSTIVE_LIMIT = 24
+#: Largest dimension of any 2^N array: all_costs (and so brute_force_minimum)
+#: will not enumerate more bitstrings, nor the simulator build more amplitudes
+#: (~16M of either).
+MAX_QUBITS = 24
 
 #: Loading rejects matrices with max |Q[i,j] - Q[j,i]| above this.
 SYMMETRY_TOLERANCE = 1e-12
@@ -79,7 +80,7 @@ def evaluate(q: QuboInstance, x: BitString | np.ndarray) -> float:
 
 def all_costs(q: QuboInstance) -> np.ndarray:
     """Costs of every bitstring, indexed by basis index. O(2^N) memory, so a
-    dimension above DEFAULT_EXHAUSTIVE_LIMIT is refused.
+    dimension above MAX_QUBITS is refused.
 
     Summation order (part of the determinism contract): each cost starts at
     +0.0 and adds Q[j, k] for every pair (j, k) with x_j = x_k = 1, in
@@ -92,9 +93,9 @@ def all_costs(q: QuboInstance) -> np.ndarray:
     set-up allocates nothing of the table's size beside it.
     """
     n = q.dimension
-    if n > DEFAULT_EXHAUSTIVE_LIMIT:
+    if n > MAX_QUBITS:
         raise ValueError(
-            f"dimension {n} exceeds the exhaustive enumeration limit {DEFAULT_EXHAUSTIVE_LIMIT}"
+            f"dimension {n} exceeds the exhaustive enumeration limit {MAX_QUBITS}"
         )
     acc = np.zeros((2,) * n, dtype=np.float64)
     for j, row in enumerate(q.matrix.tolist()):

@@ -27,7 +27,7 @@ from vqabench.circuit import (
     exact_probabilities,
     sample_bitstrings,
 )
-from vqabench.qubo import QuboInstance, brute_force_minimum, index_to_bits, random_qubo
+from vqabench.qubo import MAX_QUBITS, QuboInstance, brute_force_minimum, index_to_bits, random_qubo
 
 
 def ry_matrix(theta: float) -> np.ndarray:
@@ -112,6 +112,12 @@ class TestBuildStatevector:
     def test_non_finite_parameters_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             build_statevector(AnsatzSpec(2, 0), np.array([0.0, math.nan]))
+
+    def test_refuses_more_qubits_than_the_bound(self):
+        # Raises before any 2^N array is allocated: 2^25 amplitudes are 256 MiB.
+        spec = AnsatzSpec(MAX_QUBITS + 1, 0)
+        with pytest.raises(ValueError, match="simulator bound"):
+            build_statevector(spec, np.zeros(spec.num_parameters))
 
     @pytest.mark.parametrize("n,reps", [(2, 1), (3, 1), (4, 2), (5, 1)])
     def test_matches_dense_matrix_oracle(self, n, reps):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 import vqabench
 from vqabench.cli import main
 from vqabench.harness import config_id, save_config
-from vqabench.metrics import Verdict
+from vqabench.metrics import SelectionThresholds
 
 from test_harness import tiny_config
 
@@ -30,40 +31,19 @@ class TestRun:
         records = (experiment_dir / "out" / "records.jsonl").read_text().splitlines()
         assert len(records) == 12
 
-    def test_master_seed_env_override_changes_records(self, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "cfg.json"
-        save_config(tiny_config(), str(cfg_path))
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("VQABENCH_MASTER_SEED", "123456")
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "records.jsonl").read_bytes()
-        b = (tmp_path / "b" / "records.jsonl").read_bytes()
-        assert a != b
-
-    def test_workers_env_override_keeps_records(self, tmp_path, monkeypatch):
-        cfg_path = tmp_path / "cfg.json"
-        save_config(tiny_config(), str(cfg_path))
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "a")])
-        monkeypatch.setenv("VQABENCH_WORKERS", "2")
-        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "b")])
-        a = (tmp_path / "a" / "records.jsonl").read_bytes()
-        b = (tmp_path / "b" / "records.jsonl").read_bytes()
-        assert a == b
-
-    def test_resume_with_changed_master_seed_fails_and_keeps_files(
-        self, experiment_dir, monkeypatch, capsys
-    ):
+    def test_resume_with_changed_master_seed_fails_and_keeps_files(self, experiment_dir, capsys):
         out = experiment_dir / "out"
         before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
-        monkeypatch.setenv("VQABENCH_MASTER_SEED", "123456")
-        argv = ["run", "--config", str(experiment_dir / "cfg.json"), "--out", str(out)]
-        assert main(argv + ["--resume"]) == 2
+        reseeded = experiment_dir / "reseeded.json"
+        save_config(tiny_config(master_seed=123456), str(reseeded))
+        argv = ["run", "--out", str(out), "--resume", "--config"]
+        assert main(argv + [str(reseeded)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "snapshot" in err["detail"]
         assert {name: (out / name).read_bytes() for name in before} == before
 
-        monkeypatch.delenv("VQABENCH_MASTER_SEED")
-        assert main(argv + ["--resume"]) == 0  # the unchanged config still resumes
+        # the unchanged config still resumes
+        assert main(argv + [str(experiment_dir / "cfg.json")]) == 0
         assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_missing_config_fails_with_json_error(self, tmp_path, capsys):
@@ -102,28 +82,48 @@ class TestAnalyze:
         assert not (experiment_dir / "tables").exists()
 
 
-class TestSelect:
-    def test_reapplies_cascade(self, experiment_dir, capsys):
-        out = experiment_dir / "out"
-        tables = experiment_dir / "tables"
-        main([
-            "analyze",
-            "--records", str(out / "records.jsonl"),
-            "--config", str(experiment_dir / "cfg.json"),
-            "--out-tables", str(tables),
-        ])
-        capsys.readouterr()
-        code = main(["select", "--metrics", str(tables / "metrics.csv"), "--thresholds", "0.7,1.2,0.6"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "config_id,alpha,shots,verdict"
-        assert len(lines) == 5
-        verdicts = {line.split(",")[-1] for line in lines[1:]}
-        assert verdicts <= {v.value for v in Verdict}
+    @pytest.mark.parametrize("raise_f0,strict", [(True, False), (False, True), (True, True)])
+    def test_config_copy_and_strict_reselect_the_same_records(self, tmp_path, raise_f0, strict):
+        # Thresholds under which the F = 0.67 +- 0.53 cells pass on their
+        # point estimates: a raised f0, or their interval edges, reject them.
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(thresholds=SelectionThresholds(0.5, 0.0, 0.0)), str(cfg_path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        analyze = ["analyze", "--records", str(out / "records.jsonl"), "--out-tables"]
+        assert main(analyze + [str(tmp_path / "snapshot")]) == 0
+        extra = ["--strict"] if strict else []
+        if raise_f0:
+            doc = json.loads((out / "config.json").read_text())
+            doc["thresholds"]["f0"] = 0.7
+            (tmp_path / "raised.json").write_text(json.dumps(doc))
+            extra += ["--config", str(tmp_path / "raised.json")]
+        assert main(analyze + [str(tmp_path / "reselected")] + extra) == 0
 
-    def test_malformed_thresholds_rejected(self, experiment_dir, capsys):
-        code = main(["select", "--metrics", "whatever.csv", "--thresholds", "0.7,1.2"])
-        assert code == 2
+        def read(tables):
+            with open(tables / "metrics.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            verdicts = [row.pop("verdict") for row in rows]
+            return rows, verdicts, (tables / "selected.csv").read_text().splitlines()
+
+        metrics, verdicts, selected = read(tmp_path / "snapshot")
+        assert sorted(verdicts) == ["accepted"] * 3 + ["rejected_feasibility"]
+        assert len(selected) == 1 + 3
+        metrics_after, verdicts_after, selected_after = read(tmp_path / "reselected")
+        assert metrics_after == metrics
+        assert verdicts_after == ["rejected_feasibility"] * 4
+        assert selected_after == ["alpha,shots"]
+
+
+class TestRemovedSelect:
+    def test_select_subcommand_exits_through_argparse(self, tmp_path, capsys):
+        # Re-selection goes through `analyze --config` and `--strict`.
+        argv = ["select", "--metrics", str(tmp_path / "metrics.csv"),
+                "--thresholds", "0.7,1.2,0.6"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestPlotData:

@@ -1,6 +1,7 @@
 """Tests for experiment orchestration, record persistence, and analysis tables."""
 
 import concurrent.futures
+import csv
 import json
 import math
 import multiprocessing
@@ -24,7 +25,6 @@ from vqabench.harness import (
     load_config,
     load_records,
     prepare_context,
-    read_metrics_csv,
     run_experiment,
     run_seed,
     run_single,
@@ -33,7 +33,7 @@ from vqabench.harness import (
 from vqabench.metrics import SelectionThresholds, Verdict
 from vqabench.optimizer import OptimizerSettings
 from vqabench.qubo import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
+    MAX_QUBITS,
     QuboInstance,
     all_costs,
     brute_force_minimum,
@@ -166,7 +166,7 @@ class TestPrepareContext:
 
     def test_refuses_to_enumerate_past_the_limit(self):
         with pytest.raises(ValueError, match="exhaustive"):
-            prepare_context(tiny_config(qubo_dimension=DEFAULT_EXHAUSTIVE_LIMIT + 1))
+            prepare_context(tiny_config(qubo_dimension=MAX_QUBITS + 1))
 
 
 class TestSeeds:
@@ -435,6 +435,17 @@ class TestRunExperiment:
         assert not (out / "config.json").exists()
         assert not (out / "records.jsonl").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_initial_params_fail_before_any_file(self, tmp_path, workers):
+        # A NaN start point would only fail inside every run, after the
+        # snapshot and the records were written.
+        out = tmp_path / "out"
+        cfg = tiny_config(initial_params_values=[math.nan, 0.1, 0.2], initial_params_seed=None)
+        with pytest.raises(ValueError, match="finite"):
+            run_experiment(cfg, str(out), workers=workers)
+        assert not (out / "config.json").exists()
+        assert not (out / "records.jsonl").exists()
+
     def test_config_snapshot_written(self, tmp_path):
         out = tmp_path / "out"
         cfg = tiny_config()
@@ -517,7 +528,8 @@ class TestAnalyze:
         cfg = tiny_config(runs_per_config=10)
         records = synthetic_records(cfg, {(a, s): 10 for a in cfg.alphas for s in cfg.shots_grid})
         reports = analyze(records, cfg, out_dir=str(tmp_path))
-        rows = read_metrics_csv(str(tmp_path / "metrics.csv"))
+        with open(tmp_path / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert (tmp_path / "metrics.csv").read_text().splitlines()[0] == (
             "config_id,alpha,shots,n_runs,feasibility,feasibility_err,quality,quality_err,"
             "reproducibility,reproducibility_err,verdict"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from vqabench import qubo
 from vqabench.qubo import (
-    DEFAULT_EXHAUSTIVE_LIMIT,
+    MAX_QUBITS,
     QuboInstance,
     bits_to_index,
     brute_force_minimum,
@@ -90,7 +90,7 @@ class TestBruteForce:
 
     def test_limit_enforced(self):
         # Raises before anything is enumerated: 2^25 costs would take 256 MiB.
-        q = random_qubo(DEFAULT_EXHAUSTIVE_LIMIT + 1, seed=0)
+        q = random_qubo(MAX_QUBITS + 1, seed=0)
         with pytest.raises(ValueError, match="exhaustive"):
             brute_force_minimum(q)
 
