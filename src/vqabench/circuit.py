@@ -44,9 +44,9 @@ third 2^N array, or in the build's spare buffer when a caller lends it, and
 from 2^N shots up a guide table of 2 * 2^N + 1 buckets adds 9 B per bucket
 and an 8 B count per bucket for the call. ``cost.cost_estimate`` keeps one
 such workspace per thread: at N = 24 the two state buffers take 256 MiB and
-the samples and their costs 16 B per shot, and only from 2^24 shots up does
-the guide table add 288 MiB, plus its 256 MiB of counts during a call. The
-map adds 128 MiB per process.
+the draws 8 B per shot, the same 8 B later holding their costs, and only from
+2^24 shots up does the guide table add 288 MiB, plus its 256 MiB of counts
+during a call. The map adds 128 MiB per process.
 
 Sampling inverts the CDF of the Born probabilities, on exactly the stream
 of ``Generator.choice``. The draws are resolved in fixed chunks, each
@@ -268,7 +268,9 @@ def sample_bitstrings(
         # Indices are in range by construction; mode="raise" would copy out.
         below.take(b, out=chunk, mode="clip")
         chunk += cdf[chunk] <= uc
-        many = multi[b]
+        # The draws in multi-entry buckets, as one index list that serves
+        # both the gather and the scatter.
+        many = multi[b].nonzero()[0]
         chunk[many] = cdf.searchsorted(uc[many], side="right")
     return idx
 

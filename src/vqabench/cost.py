@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 
-from .circuit import AnsatzSpec, build_statevector, guide_table, sample_bitstrings
+from .circuit import _CHUNK, AnsatzSpec, build_statevector, guide_table, sample_bitstrings
 
 
 def cvar_tail_count(n_samples: int, alpha: float) -> int:
@@ -29,13 +29,25 @@ def cvar_tail_count(n_samples: int, alpha: float) -> int:
     return min(max(m, 1), n_samples)
 
 
-def cvar(costs: np.ndarray, alpha: float) -> float:
-    """Mean of the lowest ceil(alpha*K) of K sampled costs."""
+def cvar(costs: np.ndarray, alpha: float, overwrite: bool = False) -> float:
+    """Mean of the lowest ceil(alpha*K) of K sampled costs.
+
+    The tail is found by partitioning a copy of the costs, or, with
+    ``overwrite``, the costs themselves when they are already a ``float64``
+    array: the same partition, so the same tail and the same sum, without the
+    copy. The costs are then left in partitioned order.
+    """
     values = np.asarray(costs, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take CVaR of an empty sample")
     m = cvar_tail_count(values.size, alpha)
-    tail = values if m == values.size else np.partition(values, m - 1)[:m]
+    if m == values.size:
+        tail = values
+    elif overwrite:
+        values.partition(m - 1)
+        tail = values[:m]
+    else:
+        tail = np.partition(values, m - 1)[:m]
     # ``tail.mean()`` without its dispatch: the same pairwise sum, then the
     # same division by the count.
     return float(np.add.reduce(tail)) / m
@@ -43,10 +55,14 @@ def cvar(costs: np.ndarray, alpha: float) -> float:
 
 # Each thread's working memory for the last N and ``shots`` it priced, reused
 # by the next call instead of being freed and faulted back in: the build's two
-# state buffers, the sample and cost arrays, and, from 2^N shots up, the
-# sampler's guide table. Each entry is kept as (key, arrays) and replaced when
-# a call needs another key.
+# state buffers, one 8 B entry per shot for the draws and then their costs,
+# and, from 2^N shots up, the sampler's guide table. Each entry is kept as
+# (key, arrays) and replaced when a call needs another key.
 _buffers = threading.local()
+
+# The draws (``intp``) are priced over in place as ``float64``, so the two
+# must have one size: 8 B on every 64-bit platform that numpy 2 supports.
+assert np.dtype(np.intp).itemsize == np.dtype(np.float64).itemsize
 
 
 def _reused(name: str, key, make):
@@ -78,23 +94,29 @@ def cost_estimate(
     prices each by lookup in ``cost_table`` (the QUBO costs of all 2^N
     bitstrings by basis index, from qubo.all_costs), and returns the
     CVaR_alpha of the sample. One invocation corresponds to one quantum
-    circuit evaluated when counting optimizer calls. Every array that scales
-    with 2^N or with ``shots`` lives in this thread's buffers and never
-    leaves the call, so the steady state allocates none of them but CVaR's
-    own partition and, from 2^N shots up, the guide table's counts; the rest
-    is chunk-sized. A run's last build and its ``exact_p_min`` use the same
-    state pair, through ``state_buffers``.
+    circuit evaluated when counting optimizer calls.
+
+    Every array that scales with 2^N or with ``shots`` lives in this thread's
+    buffers and never leaves the call, so a warm call allocates only
+    chunk-sized temporaries and, from 2^N shots up, the guide table's counts.
+    The draws go into one 8 B entry per shot. They are priced one chunk at a
+    time through a chunk buffer and copied back over themselves, so the same
+    memory, viewed as ``float64``, holds their costs, which CVaR then
+    partitions in place. A run's last build and its ``exact_p_min`` use the
+    same state pair, through ``state_buffers``.
     """
     d = 1 << spec.n_qubits
     states = state_buffers(spec.n_qubits)
     state = build_statevector(spec, params, buffers=states)
-    samples, costs = _reused(
-        "shots",
-        (shots, cost_table.dtype),
-        lambda: (np.empty(shots, dtype=np.intp), np.empty(shots, dtype=cost_table.dtype)),
-    )
+    draws = _reused("shots", shots, lambda: np.empty(shots, dtype=np.intp))
     guide = _reused("guide", d, lambda: guide_table(d)) if shots >= d else None
     spare = states[1] if state is states[0] else states[0]
-    sample_bitstrings(state, shots, rng, out=samples, scratch=spare, guide=guide)
-    # The samples index the table by construction; mode="raise" would copy out.
-    return cvar(cost_table.take(samples, out=costs, mode="clip"), alpha)
+    sample_bitstrings(state, shots, rng, out=draws, scratch=spare, guide=guide)
+    costs = draws.view(np.float64)
+    priced = np.empty(min(shots, _CHUNK), dtype=cost_table.dtype)
+    for lo in range(0, shots, _CHUNK):
+        chunk = draws[lo : lo + _CHUNK]
+        # The draws index the table by construction; mode="raise" would copy out.
+        part = cost_table.take(chunk, out=priced[: len(chunk)], mode="clip")
+        costs[lo : lo + len(chunk)] = part
+    return cvar(costs, alpha, overwrite=True)

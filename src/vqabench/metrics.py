@@ -104,7 +104,8 @@ class SelectionThresholds:
     def __post_init__(self) -> None:
         if not 0.0 <= self.f0 <= 1.0 or not 0.0 <= self.r0 <= 1.0:
             raise ValueError("f0 and r0 must lie in [0, 1]")
-        if self.q0 < 0.0:
+        # Negated so that a NaN, for which every comparison is False, fails.
+        if not self.q0 >= 0.0:
             raise ValueError("q0 must be >= 0")
 
 

@@ -283,6 +283,16 @@ class TestSelect:
         assert verdict is Verdict.REJECTED_FEASIBILITY
         assert select(0.72, 1.46, 0.62, THRESHOLDS) is Verdict.ACCEPTED
 
+    @pytest.mark.parametrize("name", ["f0", "q0", "r0"])
+    def test_nan_threshold_rejected(self, name):
+        # Every comparison with NaN is False: a check written as q0 < 0.0
+        # lets a NaN through, and the quality gate then accepts cells of
+        # quality 0. ``json.load`` reads a NaN literal, so an
+        # ``analyze --config`` file can carry one.
+        values = {"f0": 0.70, "q0": 1.20, "r0": 0.60, name: math.nan}
+        with pytest.raises(ValueError, match=name):
+            SelectionThresholds(**values)
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.floats(0, 1), st.floats(0, 4), st.floats(0, 1),
