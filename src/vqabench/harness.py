@@ -35,11 +35,11 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import metrics
 from .circuit import AnsatzSpec, build_statevector, exact_p_min
 from .cost import cost_estimate, state_buffers
 from .metrics import (
     ESTIMATES,
+    GRID_BINS,
     METRICS_CSV_COLUMNS,
     MetricsReport,
     RunOutcome,
@@ -91,7 +91,7 @@ class ExperimentConfig:
         for s in self.shots_grid:
             if s < 1:
                 raise ValueError(f"shots must be >= 1, got {s}")
-        ids = Counter(config_id(a, s) for a in self.alphas for s in self.shots_grid)
+        ids = Counter(cid for _, _, cid in _cells(self))
         shared = sorted(cid for cid, n in ids.items() if n > 1)
         if shared:
             raise ValueError(
@@ -106,6 +106,8 @@ class ExperimentConfig:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
         if self.qubo_path is None and (self.qubo_dimension is None or self.qubo_seed is None):
             raise ValueError("config needs either qubo_path or (qubo_dimension, qubo_seed)")
+        if self.initial_params_values is None and self.initial_params_seed is None:
+            raise ValueError("config needs initial_params with either values or a seed")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -141,7 +143,7 @@ class ExperimentConfig:
         init: dict = {}
         if self.initial_params_values is not None:
             init["values"] = list(self.initial_params_values)
-        elif self.initial_params_seed is not None:
+        else:
             init["seed"] = self.initial_params_seed
         return {
             "qubo": qubo,
@@ -180,6 +182,11 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
 def config_id(alpha: float, shots: int) -> str:
     # underscore-separated so the id stays a single CSV field and shell token
     return f"alpha={alpha:g}_shots={shots}"
+
+
+def _cells(cfg: ExperimentConfig) -> list[tuple[float, int, str]]:
+    """The grid's (alpha, shots, config id) cells in sweep order."""
+    return [(a, s, config_id(a, s)) for a, s in product(cfg.alphas, cfg.shots_grid)]
 
 
 def _config_digest(doc: dict) -> str:
@@ -258,10 +265,7 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
         if not np.isfinite(theta0).all():
             raise ValueError("initial_params values must be finite")
     else:
-        seed = cfg.initial_params_seed
-        if seed is None:
-            seed = run_seed(cfg.master_seed, "initial-params", 0)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(cfg.initial_params_seed)
         theta0 = rng.uniform(-math.pi, math.pi, size=spec.num_parameters)
     return _RunContext(
         qubo=q,
@@ -386,10 +390,9 @@ def run_experiment(
     done = {(r.config_id, r.run_index) for r in existing}
     tasks = [
         (alpha, shots, run_index)
-        for alpha in cfg.alphas
-        for shots in cfg.shots_grid
+        for alpha, shots, cid in _cells(cfg)
         for run_index in range(cfg.runs_per_config)
-        if (config_id(alpha, shots), run_index) not in done
+        if (cid, run_index) not in done
     ]
     ctx = prepare_context(cfg) if tasks else None
 
@@ -441,31 +444,6 @@ def run_experiment(
     return sorted(records, key=_record_sort_key)
 
 
-def build_distributions(
-    records: list[RunRecord], cfg: ExperimentConfig
-) -> dict[str, VqaDistribution]:
-    """Group successful records into per-configuration run ensembles."""
-    grouped: dict[str, list[RunOutcome]] = {}
-    for alpha in cfg.alphas:
-        for shots in cfg.shots_grid:
-            grouped[config_id(alpha, shots)] = []
-    for rec in records:
-        if rec.error is not None:
-            continue
-        if rec.config_id not in grouped:
-            raise ValueError(f"record config {rec.config_id!r} not in the experiment grid")
-        grouped[rec.config_id].append(RunOutcome(n_calls=rec.n_calls, p_min=rec.p_min))
-    return {
-        cid: VqaDistribution(
-            outcomes=outs,
-            n_max=cfg.optimizer.n_max,
-            p_threshold=cfg.p_threshold,
-            config_id=cid,
-        )
-        for cid, outs in grouped.items()
-    }
-
-
 def analyze(
     records: list[RunRecord],
     cfg: ExperimentConfig,
@@ -474,19 +452,29 @@ def analyze(
 ) -> dict[str, MetricsReport]:
     """Per-configuration metric reports, optionally written as CSV tables.
 
-    Configurations without at least two successful runs are reported as
+    The successful records are grouped by grid cell in one pass and taken in
+    run order. Configurations without at least two of them are reported as
     skipped and excluded from the tables and the selection. When ``out_dir``
     is given, writes metrics.csv (one row per configuration), one pivoted
     table per metric with shots as rows and alphas as columns, the
     selected-set listing of accepted configurations, and every grid cell's
     quality-diagram data under diagrams/<config_id>/, skipped cells included.
     """
-    dists = build_distributions(records, cfg)
-    n_failed = Counter(r.config_id for r in records if r.error is not None)
+    runs: dict[str, list[RunRecord]] = {cid: [] for _, _, cid in _cells(cfg)}
+    n_failed: Counter = Counter()
+    for rec in records:
+        if rec.error is not None:
+            n_failed[rec.config_id] += 1
+        elif rec.config_id in runs:
+            runs[rec.config_id].append(rec)
+        else:
+            raise ValueError(f"record config {rec.config_id!r} not in the experiment grid")
+    dists: dict[str, VqaDistribution] = {}
     reports: dict[str, MetricsReport] = {}
-    for alpha, shots in product(cfg.alphas, cfg.shots_grid):
-        cid = config_id(alpha, shots)
-        dist = dists[cid]
+    for alpha, shots, cid in _cells(cfg):
+        runs[cid].sort(key=_record_sort_key)
+        outcomes = [RunOutcome(rec.n_calls, rec.p_min) for rec in runs[cid]]
+        dist = dists[cid] = VqaDistribution(outcomes, cfg.optimizer.n_max, cfg.p_threshold, cid)
         if len(dist) < 2:
             import logging
 
@@ -498,84 +486,53 @@ def analyze(
         reports[cid] = compute_report(
             dist, cfg.thresholds, cfg.confidence, strict=strict, alpha=alpha, shots=shots
         )
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        write_metrics_csv(reports, os.path.join(out_dir, "metrics.csv"))
-        for name in ESTIMATES:
-            _write_pivot_table(reports, name, cfg, os.path.join(out_dir, f"table_{name}.csv"))
-        _write_selected(reports, os.path.join(out_dir, "selected.csv"))
-        for cid, dist in dists.items():
-            _write_diagram_data(records, dist, os.path.join(out_dir, "diagrams", cid))
+    if out_dir is None:
+        return reports
+
+    os.makedirs(out_dir, exist_ok=True)
+    ordered = sorted(reports.values(), key=lambda rep: (rep.alpha, rep.shots))
+    _write_csv(os.path.join(out_dir, "metrics.csv"), METRICS_CSV_COLUMNS,
+               [rep.to_csv_row() for rep in ordered])
+    # Pivot tables: shots as rows, alphas as columns, "value ± half_width" cells.
+    alphas = sorted(cfg.alphas)
+    for name in ESTIMATES:
+        rows = []
+        for shots in sorted(cfg.shots_grid):
+            cells = (reports.get(config_id(alpha, shots)) for alpha in alphas)
+            rows.append([shots, *("" if rep is None else "{:.2f} ± {:.2f}".format(
+                *getattr(rep, name)) for rep in cells)])
+        _write_csv(os.path.join(out_dir, f"table_{name}.csv"),
+                   ["s\\alpha", *(f"{alpha:g}" for alpha in alphas)], rows)
+    _write_csv(os.path.join(out_dir, "selected.csv"), ["alpha", "shots"],
+               [(f"{rep.alpha:g}", rep.shots) for rep in ordered
+                if rep.verdict is Verdict.ACCEPTED])
+
+    # Diagram data per cell: the normalized (u, v) run points, the occupancy
+    # grid feeding reproducibility, and the quality level curves, which
+    # depend only on p_threshold.
+    width = 1.0 / GRID_BINS
+    bin_edges = [(i, j, f"{i * width:g}", f"{j * width:g}")
+                 for i in range(GRID_BINS) for j in range(GRID_BINS)]
+    level_curves = [(f"{q:g}", u, v) for q in LEVEL_CURVE_VALUES
+                    for u, v in quality_level_curve(q, cfg.p_threshold).tolist()]
+    for cid, dist in dists.items():
+        cell_dir = os.path.join(out_dir, "diagrams", cid)
+        os.makedirs(cell_dir, exist_ok=True)
+        points = [(rec.run_index, rec.n_calls, rec.p_min, *normalize(outcome, dist.n_max))
+                  for rec, outcome in zip(runs[cid], dist.outcomes)]
+        _write_csv(os.path.join(cell_dir, "scatter.csv"),
+                   ["run_index", "n_calls", "p_min", "u", "v"], points)
+        counts = diagram_occupancy(dist).ravel().tolist()
+        _write_csv(os.path.join(cell_dir, "bins.csv"), ["u_bin", "v_bin", "u_lo", "v_lo", "count"],
+                   [(*edge, count) for edge, count in zip(bin_edges, counts)])
+        _write_csv(os.path.join(cell_dir, "level_curves.csv"), ["q", "u", "v"], level_curves)
     return reports
 
 
-def write_metrics_csv(reports: dict[str, MetricsReport], path: str) -> None:
+def _write_csv(path: str, header, rows) -> None:
     import csv
 
-    rows = sorted(reports.values(), key=lambda r: (r.alpha, r.shots))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_CSV_COLUMNS)
-        writer.writerows(rep.to_csv_row() for rep in rows)
-
-
-def _write_pivot_table(reports, name: str, cfg: ExperimentConfig, path: str) -> None:
-    # Layout: shots as rows, alphas as columns, "value +- half_width" cells.
-    alphas = sorted(cfg.alphas)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("s\\alpha," + ",".join(f"{a:g}" for a in alphas) + "\n")
-        for shots in sorted(cfg.shots_grid):
-            cells = []
-            for alpha in alphas:
-                rep = reports.get(config_id(alpha, shots))
-                if rep is None:
-                    cells.append("")
-                else:
-                    est = getattr(rep, name)
-                    cells.append(f"{est.value:.2f} ± {est.half_width:.2f}")
-            fh.write(f"{shots}," + ",".join(cells) + "\n")
-
-
-def _write_selected(reports: dict[str, MetricsReport], path: str) -> None:
-    accepted = sorted(
-        (r for r in reports.values() if r.verdict is Verdict.ACCEPTED),
-        key=lambda r: (r.alpha, r.shots),
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("alpha,shots\n")
-        for rep in accepted:
-            fh.write(f"{rep.alpha:g},{rep.shots}\n")
-
-
-def _write_diagram_data(records: list[RunRecord], dist: VqaDistribution, out_dir: str) -> None:
-    """Write plain columnar diagram data for one configuration.
-
-    Produces scatter.csv with the normalized (u, v) run points, bins.csv with
-    the 10x10 occupancy grid feeding reproducibility, and level_curves.csv
-    sampling the quality level curves q in {1, 2, 4} for external plotting.
-    """
-    os.makedirs(out_dir, exist_ok=True)
-
-    with open(os.path.join(out_dir, "scatter.csv"), "w", encoding="utf-8") as fh:
-        fh.write("run_index,n_calls,p_min,u,v\n")
-        run_rows = sorted(
-            (r for r in records if r.config_id == dist.config_id and r.error is None),
-            key=_record_sort_key,
-        )
-        for rec in run_rows:
-            point = normalize(RunOutcome(rec.n_calls, rec.p_min), dist.n_max)
-            fh.write(f"{rec.run_index},{rec.n_calls},{rec.p_min!r},{point.u!r},{point.v!r}\n")
-
-    counts = diagram_occupancy(dist)
-    width = 1.0 / metrics.GRID_BINS
-    with open(os.path.join(out_dir, "bins.csv"), "w", encoding="utf-8") as fh:
-        fh.write("u_bin,v_bin,u_lo,v_lo,count\n")
-        for i in range(metrics.GRID_BINS):
-            for j in range(metrics.GRID_BINS):
-                fh.write(f"{i},{j},{i * width:g},{j * width:g},{counts[i, j]}\n")
-
-    with open(os.path.join(out_dir, "level_curves.csv"), "w", encoding="utf-8") as fh:
-        fh.write("q,u,v\n")
-        for q_value in LEVEL_CURVE_VALUES:
-            for u, v in quality_level_curve(q_value, dist.p_threshold):
-                fh.write(f"{q_value:g},{float(u)!r},{float(v)!r}\n")
+        writer.writerow(header)
+        writer.writerows(rows)

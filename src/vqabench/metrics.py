@@ -251,25 +251,8 @@ def reproducibility(dist: VqaDistribution, confidence: float = 0.95) -> Estimate
     return Estimate(value, half_width)
 
 
-def select(
-    feasibility_value: float,
-    quality_value: float,
-    reproducibility_value: float,
-    thresholds: SelectionThresholds,
-    strict: bool = False,
-    half_widths: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> Verdict:
-    """Ordered threshold cascade classifying a configuration.
-
-    Point estimates are compared by default. Strict mode instead requires
-    (estimate - half_width) >= threshold, i.e. the whole lower interval edge
-    must clear each gate; it is off by default.
-    """
-    f, q, r = feasibility_value, quality_value, reproducibility_value
-    if strict:
-        f -= half_widths[0]
-        q -= half_widths[1]
-        r -= half_widths[2]
+def select(f: float, q: float, r: float, thresholds: SelectionThresholds) -> Verdict:
+    """Ordered threshold cascade classifying a configuration by its metric triple."""
     if f < thresholds.f0:
         return Verdict.REJECTED_FEASIBILITY
     if q < thresholds.q0:
@@ -287,24 +270,21 @@ def compute_report(
     alpha: float | None = None,
     shots: int | None = None,
 ) -> MetricsReport:
-    """Metric triple, intervals, and verdict for one configuration's ensemble."""
+    """Metric triple, intervals, and verdict for one configuration's ensemble.
+
+    The cascade compares the point estimates by default. ``strict`` compares
+    the lower interval edges instead, (estimate - half_width) >= threshold.
+    """
     f = feasibility(dist, confidence)
     q = quality(dist, confidence)
     r = reproducibility(dist, confidence)
-    verdict = select(
-        f.value,
-        q.value,
-        r.value,
-        thresholds,
-        strict=strict,
-        half_widths=(f.half_width, q.half_width, r.half_width),
-    )
+    edges = (e.value - e.half_width if strict else e.value for e in (f, q, r))
     return MetricsReport(
         feasibility=f,
         quality=q,
         reproducibility=r,
         confidence=confidence,
-        verdict=verdict,
+        verdict=select(*edges, thresholds),
         config_id=dist.config_id,
         alpha=alpha,
         shots=shots,

@@ -46,6 +46,19 @@ class TestRun:
         assert main(argv + [str(experiment_dir / "cfg.json")]) == 0
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_config_without_a_start_point_fails_and_writes_nothing(self, tmp_path, capsys):
+        # README documents initial_params as values or a seed; without
+        # either, no start point is drawn from the master seed.
+        doc = tiny_config().to_dict()
+        del doc["initial_params"]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "initial_params" in err["detail"]
+        assert not out.exists()
+
     def test_missing_config_fails_with_json_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

@@ -2,6 +2,7 @@
 
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -194,6 +195,22 @@ class TestCostEstimate:
         # chunk-sized, far below one 2^N float64 state (1.0 here).
         n = 16
         assert self._warm_call_peak(n, 1_000) <= 0.25 * (1 << n) * 8
+
+    def test_warm_calls_keep_to_one_core(self):
+        # A BLAS call over a 2^16 state, such as a norm check by np.dot,
+        # wakes OpenBLAS's helper threads on every call, so a serial sweep
+        # would keep a second core busy and slow every other pool worker.
+        n = 16
+        spec = AnsatzSpec(n, 1)
+        table = all_costs(random_qubo(n, seed=4))
+        params = np.random.default_rng(4).uniform(-3, 3, spec.num_parameters)
+        rng = np.random.default_rng(5)
+        cost_estimate(spec, params, table, 0.25, 10_000, rng)
+        cpu, wall = time.process_time(), time.perf_counter()
+        for _ in range(200):
+            cost_estimate(spec, params, table, 0.25, 10_000, rng)
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert cpu <= 1.2 * wall
 
     @pytest.mark.parametrize("shots", [10, 1000])
     def test_each_call_goes_once_through_the_sampler_and_cvar(self, monkeypatch, shots):

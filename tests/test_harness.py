@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import csv
+import hashlib
 import json
 import math
 import multiprocessing
@@ -20,7 +21,6 @@ from vqabench.harness import (
     ExperimentConfig,
     RunRecord,
     analyze,
-    build_distributions,
     config_id,
     load_config,
     load_records,
@@ -472,7 +472,54 @@ def synthetic_records(cfg, feasible_per_config):
     return records
 
 
+def golden_records(cfg):
+    """Eight runs per cell with varied p_min and n_calls. Run 2 of
+    alpha=0.25_shots=50 failed, and alpha=1_shots=20 kept only its run 0, so
+    that cell is skipped."""
+    records = synthetic_records(cfg, {(0.25, 20): 8, (0.25, 50): 6, (1.0, 20): 8, (1.0, 50): 3})
+    kept = []
+    for k, rec in enumerate(records):
+        rec.p_min -= 0.0137 * rec.run_index
+        rec.n_calls = 3 + (5 * rec.run_index + k // 8) % 17
+        if rec.config_id == config_id(0.25, 50) and rec.run_index == 2:
+            rec.error = "RuntimeError: boom"
+            rec.n_calls = rec.p_min = rec.best_cost = None
+        if rec.config_id != config_id(1.0, 20) or rec.run_index == 0:
+            kept.append(rec)
+    return kept
+
+
+def tree_digest(root):
+    """SHA-256 over every file under root: its relative path, size and bytes."""
+    digest = hashlib.sha256()
+    files = sorted((p.relative_to(root).as_posix(), p) for p in root.rglob("*") if p.is_file())
+    for rel, path in files:
+        data = path.read_bytes()
+        digest.update(f"{rel}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 class TestAnalyze:
+    def test_output_tree_bytes_are_pinned(self, tmp_path):
+        # Every file analyze writes, at point and strict selection, for a
+        # record set with a failed run and a skipped cell.
+        cfg = tiny_config(runs_per_config=8, thresholds=SelectionThresholds(0.7, 1.2, 0.5))
+        records = golden_records(cfg)
+        point = analyze(records, cfg, out_dir=str(tmp_path / "point"))
+        strict = analyze(records, cfg, out_dir=str(tmp_path / "strict"), strict=True)
+        assert sorted(point) == sorted(strict) == [
+            config_id(0.25, 20), config_id(0.25, 50), config_id(1.0, 50)
+        ]
+        # alpha=0.25_shots=50 is accepted on its point estimates only.
+        assert [(tmp_path / mode / "selected.csv").read_text() for mode in ("point", "strict")] == [
+            "alpha,shots\n0.25,20\n0.25,50\n", "alpha,shots\n0.25,20\n"
+        ]
+        assert len(list(tmp_path.rglob("*.csv"))) == 2 * (5 + 4 * 3)
+        assert tree_digest(tmp_path) == (
+            "8836b315c7f772d558d65d4dcabe4d715eac8598e38b25d5aa41848066cc0a9f"
+        )
+
     def test_wald_cell_matches_hand_formula(self):
         cfg = tiny_config(runs_per_config=400)
         records = synthetic_records(cfg, {(a, s): 280 for a in cfg.alphas for s in cfg.shots_grid})
@@ -550,7 +597,7 @@ class TestAnalyze:
             seed=1, n_calls=3, p_min=0.5, best_cost=0.0,
         )
         with pytest.raises(ValueError, match="grid"):
-            build_distributions([rogue], cfg)
+            analyze([rogue], cfg)
 
     def test_every_successful_record_counted_once(self):
         cfg = tiny_config(runs_per_config=6)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vqabench import metrics
 from vqabench.metrics import (
     ESTIMATES,
     GRID_BINS,
@@ -278,10 +279,22 @@ class TestSelect:
     def test_boundary_equality_passes(self):
         assert select(0.70, 1.20, 0.60, THRESHOLDS) is Verdict.ACCEPTED
 
-    def test_strict_mode_subtracts_half_widths(self):
-        verdict = select(0.72, 1.46, 0.62, THRESHOLDS, strict=True, half_widths=(0.05, 0.09, 0.03))
-        assert verdict is Verdict.REJECTED_FEASIBILITY
-        assert select(0.72, 1.46, 0.62, THRESHOLDS) is Verdict.ACCEPTED
+    def test_strict_mode_subtracts_half_widths(self, monkeypatch):
+        # Strict selection lives in compute_report alone: select compares
+        # whatever triple it is given, and strict mode hands it the lower
+        # interval edges.
+        estimates = {
+            "feasibility": Estimate(0.72, 0.05),
+            "quality": Estimate(1.46, 0.09),
+            "reproducibility": Estimate(0.62, 0.03),
+        }
+        for name, est in estimates.items():
+            monkeypatch.setattr(metrics, name, lambda dist, confidence, est=est: est)
+        dist = dist_of([(6, 0.95)] * 4)
+        report = compute_report(dist, THRESHOLDS, strict=True)
+        assert report.verdict is Verdict.REJECTED_FEASIBILITY
+        assert [getattr(report, name) for name in ESTIMATES] == list(estimates.values())
+        assert compute_report(dist, THRESHOLDS).verdict is Verdict.ACCEPTED
 
     @pytest.mark.parametrize("name", ["f0", "q0", "r0"])
     def test_nan_threshold_rejected(self, name):
