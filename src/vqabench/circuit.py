@@ -39,14 +39,14 @@ layer the index has turned once round and is in the standard layout again.
 
 Memory bounds building and sampling at N <= 24. A build works in two state
 buffers of 8 B per amplitude and gathers through the cached map, another 8 B
-per amplitude kept for the life of the process. Sampling forms the CDF in a
-third 2^N array, or in the build's spare buffer when a caller lends it, and
-from 2^N shots up a guide table of 2 * 2^N + 1 buckets adds 9 B per bucket
-and an 8 B count per bucket for the call. ``cost.cost_estimate`` keeps one
-such workspace per thread: at N = 24 the two state buffers take 256 MiB and
-the draws 8 B per shot, the same 8 B later holding their costs, and only from
-2^24 shots up does the guide table add 288 MiB, plus its 256 MiB of counts
-during a call. The map adds 128 MiB per process.
+per amplitude kept for the life of the process. This module keeps each
+thread's working memory and reuses it from call to call while N stays the
+same: the state pair of ``state_buffers``, whose buffer not holding the
+state being sampled takes the CDF, and, from 2^N shots up, a guide table of
+2 * 2^N + 1 buckets at 9 B per bucket, plus an 8 B count per bucket
+allocated for each call. At N = 24 the two state buffers take 256 MiB and
+only from 2^24 shots up does the guide table add 288 MiB, plus its 256 MiB
+of counts during a call. The map adds 128 MiB per process.
 
 Sampling inverts the CDF of the Born probabilities, on exactly the stream
 of ``Generator.choice``. The draws are resolved in fixed chunks, each
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,6 +71,40 @@ from .qubo import MAX_QUBITS, QuboInstance, bits_to_index
 #: Draws resolved per pass of the guide table: small enough that a pass's
 #: temporaries stay in L2, large enough to amortize the per-pass calls.
 _CHUNK = 1 << 13
+
+# Each thread's working memory for the last size it used, reused by the next
+# call instead of being freed and faulted back in. Each entry is kept as
+# (key, arrays) and replaced when a call needs another key.
+_workspace = threading.local()
+
+
+def _reused(name: str, key, make):
+    held = getattr(_workspace, name, None)
+    if held is None or held[0] != key:
+        held = (key, make())
+        setattr(_workspace, name, held)
+    return held[1]
+
+
+def _state_pair(size: int) -> tuple[np.ndarray, np.ndarray]:
+    return _reused("states", size, lambda: (np.empty(size), np.empty(size)))
+
+
+def state_buffers(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's pair of 2^N ``float64`` state buffers for
+    ``build_statevector``, kept for the next call at the same N. Their
+    contents are this thread's scratch: any later ``sample_bitstrings`` or
+    ``exact_p_min`` call on the thread may overwrite the buffer not holding
+    the state it is given."""
+    return _state_pair(1 << n_qubits)
+
+
+def _scratch(state: np.ndarray) -> np.ndarray:
+    """This thread's state-sized ``float64`` buffer that shares no memory
+    with ``state``: the spare one for a state built in ``state_buffers``,
+    the pair's first one for any other state."""
+    pair = _state_pair(len(state))
+    return pair[1] if np.may_share_memory(state, pair[0]) else pair[0]
 
 
 @dataclass(frozen=True)
@@ -186,21 +221,11 @@ def exact_probabilities(state: np.ndarray) -> np.ndarray:
     return _born_probabilities(state)[0]
 
 
-def guide_table(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uninitialized arrays for ``sample_bitstrings``' guide table over
-    ``size`` outcomes: bucket offsets (``intp``) and a flag per bucket
-    (``bool``), one entry for each of 2 * size buckets and one past them."""
-    k = 2 * size
-    return np.empty(k + 1, dtype=np.intp), np.empty(k + 1, dtype=bool)
-
-
 def sample_bitstrings(
     state: np.ndarray,
     shots: int,
     rng: np.random.Generator,
     out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-    guide: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw measurement outcomes from a state as an array of basis indices.
 
@@ -214,17 +239,16 @@ def sample_bitstrings(
     back in draw order, so each index stays at the position of its uniform;
     more go through a guide table.
 
-    A caller can lend the arrays that scale with N or with ``shots``, to
-    reuse them from call to call: ``out`` (a length-``shots`` ``intp``
-    array) receives the indices and is returned, ``scratch`` (a 2^N
-    ``float64`` array other than ``state``) holds the CDF, and ``guide``
-    (from ``guide_table(2^N)``) holds the guide table. Each one not given is
-    allocated afresh. Identical (state, shots, generator state) yields
+    The indices go into ``out`` (a length-``shots`` ``intp`` array that a
+    caller can reuse from call to call), which is returned, or into a new
+    array without it. The CDF and the guide table live in this thread's
+    working memory: the CDF in the state-sized buffer of ``state_buffers``
+    not holding ``state``. Identical (state, shots, generator state) yields
     identical samples; use index_to_bits for the tuple form of an outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    cdf, total = _born_probabilities(state, out=scratch)
+    cdf, total = _born_probabilities(state, out=_scratch(state))
     cdf /= total
     cdf.cumsum(out=cdf)
     cdf /= cdf[-1]
@@ -240,7 +264,9 @@ def sample_bitstrings(
         # search. An empty bucket's next entry lies above it, so the
         # comparison is False there.
         k = 2 * d
-        below, multi = guide_table(d) if guide is None else guide
+        below, multi = _reused(
+            "guide", d, lambda: (np.empty(k + 1, dtype=np.intp), np.empty(k + 1, dtype=bool))
+        )
         # The bucket keys are read once, by bincount, before ``below`` is
         # written over them.
         keys = np.multiply(cdf, k, out=below[:d], casting="unsafe")
@@ -272,15 +298,13 @@ def sample_bitstrings(
     return idx
 
 
-def exact_p_min(
-    state: np.ndarray, q: QuboInstance, scratch: np.ndarray | None = None
-) -> float:
+def exact_p_min(state: np.ndarray, q: QuboInstance) -> float:
     """Exact probability of measuring a global-minimum bitstring.
 
     Computed from the statevector, not estimated from shots, so the success
     probability of an output circuit carries no sampling noise. The Born
-    probabilities go into ``scratch`` (a 2^N ``float64`` array other than
-    ``state``) when a caller lends one, and into a new array without it.
+    probabilities go into this thread's state-sized buffer of
+    ``state_buffers`` not holding ``state``.
     """
     if q.minimizers is None:
         raise ValueError("minimizers not populated; run brute_force_minimum first")
@@ -288,7 +312,7 @@ def exact_p_min(
         raise ValueError(
             f"state dimension {len(state)} does not match 2^{q.dimension}"
         )
-    p, total = _born_probabilities(state, out=scratch)
+    p, total = _born_probabilities(state, out=_scratch(state))
     indices = np.fromiter((bits_to_index(m) for m in q.minimizers), dtype=np.int64)
     # Rescale by the realized total mass: removes ~1e-16 normalization drift,
     # and a fully degenerate instance (every bitstring minimal) gives exactly 1.

@@ -10,11 +10,10 @@ inspectable.
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
-from .circuit import _CHUNK, AnsatzSpec, build_statevector, guide_table, sample_bitstrings
+from .circuit import _CHUNK, AnsatzSpec, _reused, build_statevector, sample_bitstrings, state_buffers
 
 
 def cvar_tail_count(n_samples: int, alpha: float) -> int:
@@ -53,31 +52,9 @@ def cvar(costs: np.ndarray, alpha: float, overwrite: bool = False) -> float:
     return float(np.add.reduce(tail)) / m
 
 
-# Each thread's working memory for the last N and ``shots`` it priced, reused
-# by the next call instead of being freed and faulted back in: the build's two
-# state buffers, one 8 B entry per shot for the draws and then their costs,
-# and, from 2^N shots up, the sampler's guide table. Each entry is kept as
-# (key, arrays) and replaced when a call needs another key.
-_buffers = threading.local()
-
 # The draws (``intp``) are priced over in place as ``float64``, so the two
 # must have one size: 8 B on every 64-bit platform that numpy 2 supports.
 assert np.dtype(np.intp).itemsize == np.dtype(np.float64).itemsize
-
-
-def _reused(name: str, key, make):
-    held = getattr(_buffers, name, None)
-    if held is None or held[0] != key:
-        held = (key, make())
-        setattr(_buffers, name, held)
-    return held[1]
-
-
-def state_buffers(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """This thread's pair of 2^N ``float64`` state buffers for
-    ``build_statevector``, kept for the next call at the same N."""
-    d = 1 << n_qubits
-    return _reused("states", d, lambda: (np.empty(d), np.empty(d)))
 
 
 def cost_estimate(
@@ -96,22 +73,17 @@ def cost_estimate(
     CVaR_alpha of the sample. One invocation corresponds to one quantum
     circuit evaluated when counting optimizer calls.
 
-    Every array that scales with 2^N or with ``shots`` lives in this thread's
-    buffers and never leaves the call, so a warm call allocates only
-    chunk-sized temporaries and, from 2^N shots up, the guide table's counts.
-    The draws go into one 8 B entry per shot. They are priced one chunk at a
-    time through a chunk buffer and copied back over themselves, so the same
-    memory, viewed as ``float64``, holds their costs, which CVaR then
-    partitions in place. A run's last build and its ``exact_p_min`` use the
-    same state pair, through ``state_buffers``.
+    The state is built in this thread's ``state_buffers`` and the sampler
+    keeps its CDF and guide table in the same thread's working memory, so a
+    warm call allocates only chunk-sized temporaries and, from 2^N shots up,
+    the guide table's counts. The draws go into one reused 8 B entry per
+    shot. They are priced one chunk at a time through a chunk buffer and
+    copied back over themselves, so the same memory, viewed as ``float64``,
+    holds their costs, which CVaR then partitions in place.
     """
-    d = 1 << spec.n_qubits
-    states = state_buffers(spec.n_qubits)
-    state = build_statevector(spec, params, buffers=states)
+    state = build_statevector(spec, params, buffers=state_buffers(spec.n_qubits))
     draws = _reused("shots", shots, lambda: np.empty(shots, dtype=np.intp))
-    guide = _reused("guide", d, lambda: guide_table(d)) if shots >= d else None
-    spare = states[1] if state is states[0] else states[0]
-    sample_bitstrings(state, shots, rng, out=draws, scratch=spare, guide=guide)
+    sample_bitstrings(state, shots, rng, out=draws)
     costs = draws.view(np.float64)
     priced = np.empty(min(shots, _CHUNK), dtype=cost_table.dtype)
     for lo in range(0, shots, _CHUNK):

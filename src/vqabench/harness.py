@@ -35,8 +35,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .circuit import AnsatzSpec, build_statevector, exact_p_min
-from .cost import cost_estimate, state_buffers
+from .circuit import AnsatzSpec, build_statevector, exact_p_min, state_buffers
+from .cost import cost_estimate
 from .metrics import (
     ESTIMATES,
     GRID_BINS,
@@ -104,10 +104,13 @@ class ExperimentConfig:
             raise ValueError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        if self.qubo_path is None and (self.qubo_dimension is None or self.qubo_seed is None):
+        generated = (self.qubo_dimension, self.qubo_seed)
+        if self.qubo_path is None and None in generated:
             raise ValueError("config needs either qubo_path or (qubo_dimension, qubo_seed)")
-        if self.initial_params_values is None and self.initial_params_seed is None:
-            raise ValueError("config needs initial_params with either values or a seed")
+        if self.qubo_path is not None and generated != (None, None):
+            raise ValueError("config gives qubo_path and qubo_dimension/qubo_seed: give one")
+        if (self.initial_params_values is None) == (self.initial_params_seed is None):
+            raise ValueError("config needs initial_params with exactly one of values or a seed")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -300,8 +303,7 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
         # The last build and its probabilities reuse the objective's buffers.
         states = state_buffers(ctx.spec.n_qubits)
         state = build_statevector(ctx.spec, result.final_params, buffers=states)
-        spare = states[1] if state is states[0] else states[0]
-        p_min = exact_p_min(state, ctx.qubo, scratch=spare)
+        p_min = exact_p_min(state, ctx.qubo)
         # set together, after the last call that can raise: a record holds
         # either the whole outcome or the error
         rec.n_calls, rec.p_min, rec.best_cost = result.n_calls, p_min, result.best_value

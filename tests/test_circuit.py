@@ -26,6 +26,7 @@ from vqabench.circuit import (
     exact_p_min,
     exact_probabilities,
     sample_bitstrings,
+    state_buffers,
 )
 from vqabench.qubo import MAX_QUBITS, QuboInstance, brute_force_minimum, index_to_bits, random_qubo
 
@@ -328,6 +329,46 @@ class TestSampling:
         again = sample_bitstrings(state, shots, np.random.default_rng(seed))
         assert not np.shares_memory(again, got)
 
+    def test_warm_call_lending_only_out_allocates_no_cdf_or_guide_table(self):
+        # The CDF and the guide table live in this thread's working memory,
+        # so a warm N=16 call at 100 000 shots allocates the guide table's
+        # counts (2 * 2^N + 1 entries of 8 B, 2.0 states here) and chunk-sized
+        # temporaries. A fresh CDF and guide table would add 3.25 states.
+        n, shots = 16, 100_000
+        rng = np.random.default_rng(3)
+        state = self._state("spread", n, rng)
+        out = np.empty(shots, dtype=np.intp)
+        sample_bitstrings(state, shots, rng, out=out)
+        tracemalloc.start()
+        try:
+            sample_bitstrings(state, shots, rng, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (1 << n) * 8
+
+    @pytest.mark.parametrize("reps", [0, 1])
+    @pytest.mark.parametrize("shots", [1_000, 10_000], ids=["sorted-search", "guide-table"])
+    def test_sampling_either_state_buffer_leaves_it_intact(self, reps, shots):
+        # A build at reps 0 ends in the first buffer of the thread's pair and
+        # one at reps 1 (13 swaps at N=12) in the second; the CDF goes into
+        # the other one either way.
+        n = 12
+        q = random_qubo(n, seed=reps)
+        brute_force_minimum(q)
+        spec = AnsatzSpec(n, reps)
+        params = np.random.default_rng(reps).uniform(-3, 3, spec.num_parameters)
+        buffers = state_buffers(n)
+        state = build_statevector(spec, params, buffers=buffers)
+        assert state is buffers[reps]
+        before = state.tobytes()
+        got = sample_bitstrings(state, shots, np.random.default_rng(5))
+        p_min = exact_p_min(state, q)
+        assert state.tobytes() == before
+        copy = np.frombuffer(before).copy()
+        assert np.array_equal(got, sample_bitstrings(copy, shots, np.random.default_rng(5)))
+        assert p_min == exact_p_min(copy, q)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_chisquare_against_exact_probabilities(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -390,3 +431,19 @@ class TestExactPMin:
         by_bits = {index_to_bits(i, n): probs[i] for i in range(2**n)}
         expected = sum(by_bits[m] for m in q.minimizers)
         assert exact_p_min(state, q) == pytest.approx(expected, abs=1e-12)
+
+    def test_warm_call_allocates_nothing_state_sized(self):
+        # The Born probabilities go into this thread's working memory, so a
+        # warm N=16 call allocates far less than one 2^N float64 state (1.0).
+        n = 16
+        q = random_qubo(n, seed=2)
+        brute_force_minimum(q)
+        state = build_statevector(AnsatzSpec(n, 1), np.random.default_rng(2).uniform(-3, 3, 2 * n))
+        exact_p_min(state, q)
+        tracemalloc.start()
+        try:
+            exact_p_min(state, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * (1 << n) * 8

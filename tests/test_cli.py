@@ -59,6 +59,25 @@ class TestRun:
         assert err["error"] == "ValueError" and "initial_params" in err["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "section, extra",
+        [("initial_params", {"values": [0.1, 0.2, 0.3]}), ("qubo", {"path": "q.json"})],
+    )
+    def test_config_with_two_forms_of_an_input_fails_and_writes_nothing(
+        self, tmp_path, capsys, section, extra
+    ):
+        # tiny_config gives a start seed and a generated QUBO; a second form
+        # of either would be dropped from the snapshot without a word.
+        doc = tiny_config().to_dict()
+        doc[section].update(extra)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and section in err["detail"]
+        assert not out.exists()
+
     def test_missing_config_fails_with_json_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

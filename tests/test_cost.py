@@ -293,11 +293,20 @@ class TestCostEstimate:
         # More threads than cores, each on its own generator. Two share N and
         # shots, and two pairs share shots at different N: shared buffers
         # would mix their states or their samples.
+        # Between its objective calls each thread also samples a state built
+        # outside its buffers, whose CDF goes into the same thread's pair.
         results = [None] * len(streams)
+        direct = [None] * len(streams)
 
         def work(j):
-            rng = np.random.default_rng(j)
-            results[j] = [priced(j, rng) for _ in range(6)]
+            n, shots = streams[j]
+            table, spec, params = problems[n]
+            state = build_statevector(spec, params)
+            rng, own = np.random.default_rng(j), np.random.default_rng(j)
+            results[j], direct[j] = [], []
+            for _ in range(6):
+                results[j].append(priced(j, rng))
+                direct[j].append(cvar(table[sample_bitstrings(state, shots, own)], 0.25))
 
         threads = [threading.Thread(target=work, args=(j,)) for j in range(len(streams))]
         interval = sys.getswitchinterval()
@@ -310,4 +319,4 @@ class TestCostEstimate:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert results == expected
+        assert results == expected and direct == expected

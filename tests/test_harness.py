@@ -117,6 +117,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="qubo"):
             tiny_config(qubo_dimension=None, qubo_seed=None)
 
+    def test_rejects_both_start_point_forms(self):
+        # Values and a seed are alternatives; with both, the snapshot would
+        # keep the values and drop the seed without a word.
+        with pytest.raises(ValueError, match="initial_params"):
+            tiny_config(initial_params_values=[0.1, 0.2, 0.3], initial_params_seed=7)
+
+    def test_rejects_a_qubo_path_next_to_a_generated_qubo(self, tmp_path):
+        # tiny_config keeps its dimension 3 and seed 5 unless overridden; the
+        # snapshot would keep the path and drop them without a word.
+        path = str(tmp_path / "q.json")
+        with pytest.raises(ValueError, match="qubo_path"):
+            tiny_config(qubo_path=path)
+        doc = tiny_config().to_dict()
+        for generated in ({"dimension": 5, "seed": 1}, {"dimension": 5}, {"seed": 1}):
+            doc["qubo"] = {"path": path, **generated}
+            with pytest.raises(ValueError, match="qubo_path"):
+                ExperimentConfig.from_dict(doc)
+
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
             tiny_config(alphas=[0.0])
