@@ -29,9 +29,9 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from itertools import product
-from typing import get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -62,25 +62,62 @@ CONFIG_SNAPSHOT_FILENAME = "config.json"
 LEVEL_CURVE_VALUES = (1.0, 2.0, 4.0)
 
 
+@dataclass(frozen=True)
+class QuboSource:
+    """The config's ``qubo`` object: an instance file's ``path``, or the
+    ``dimension``, ``seed`` and ``value_range`` of a drawn instance."""
+
+    path: str | None = None
+    dimension: int | None = None
+    seed: int | None = None
+    value_range: tuple[float, float] | None = None
+
+    def __post_init__(self) -> None:
+        if self.path is not None:
+            if (self.dimension, self.seed, self.value_range) != (None, None, None):
+                raise ValueError("qubo gives a path and a drawn instance's keys: give one")
+        elif None in (self.dimension, self.seed):
+            raise ValueError("qubo needs either a path or a dimension and a seed")
+        elif self.value_range is None:
+            object.__setattr__(self, "value_range", (-10.0, 10.0))
+
+
+@dataclass(frozen=True)
+class AnsatzSettings:
+    """The config's ``ansatz`` object."""
+
+    reps: int = 1
+
+
+@dataclass(frozen=True)
+class InitialParams:
+    """The config's ``initial_params`` object: the start point's ``values``, or
+    the ``seed`` of a uniform draw from [-pi, pi)."""
+
+    values: tuple[float, ...] | None = None
+    seed: int | None = None
+
+    def __post_init__(self) -> None:
+        if (self.values is None) == (self.seed is None):
+            raise ValueError("initial_params needs exactly one of values or a seed")
+
+
 @dataclass
 class ExperimentConfig:
-    """Full description of one experiment sweep (JSON-serializable)."""
+    """Full description of one experiment sweep. The fields, and those of the
+    nested settings, are the keys of its JSON file."""
 
+    qubo: QuboSource
     alphas: list[float]
     shots_grid: list[int]
     runs_per_config: int
-    optimizer: OptimizerSettings
     p_threshold: float
     thresholds: SelectionThresholds
     master_seed: int
+    initial_params: InitialParams
+    ansatz: AnsatzSettings = AnsatzSettings()
+    optimizer: OptimizerSettings = OptimizerSettings()
     confidence: float = 0.95
-    reps: int = 1
-    qubo_path: str | None = None
-    qubo_dimension: int | None = None
-    qubo_seed: int | None = None
-    qubo_value_range: tuple[float, float] = (-10.0, 10.0)
-    initial_params_values: list[float] | None = None
-    initial_params_seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.alphas or not self.shots_grid:
@@ -104,71 +141,49 @@ class ExperimentConfig:
             raise ValueError(f"p_threshold must be in (0, 1), got {self.p_threshold}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must be in (0, 1), got {self.confidence}")
-        generated = (self.qubo_dimension, self.qubo_seed)
-        if self.qubo_path is None and None in generated:
-            raise ValueError("config needs either qubo_path or (qubo_dimension, qubo_seed)")
-        if self.qubo_path is not None and generated != (None, None):
-            raise ValueError("config gives qubo_path and qubo_dimension/qubo_seed: give one")
-        if (self.initial_params_values is None) == (self.initial_params_seed is None):
-            raise ValueError("config needs initial_params with exactly one of values or a seed")
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
-        qubo = doc.get("qubo", {})
-        init = doc.get("initial_params", {})
-        default = {f.name: f.default for f in fields(ExperimentConfig)}
-        return ExperimentConfig(
-            alphas=[float(a) for a in doc["alphas"]],
-            shots_grid=[int(s) for s in doc["shots_grid"]],
-            runs_per_config=int(doc["runs_per_config"]),
-            optimizer=_settings_from_dict(OptimizerSettings, doc.get("optimizer", {})),
-            p_threshold=float(doc["p_threshold"]),
-            thresholds=_settings_from_dict(SelectionThresholds, doc["thresholds"]),
-            master_seed=int(doc["master_seed"]),
-            confidence=float(doc.get("confidence", default["confidence"])),
-            reps=int(doc.get("ansatz", {}).get("reps", default["reps"])),
-            qubo_path=qubo.get("path"),
-            qubo_dimension=qubo.get("dimension"),
-            qubo_seed=qubo.get("seed"),
-            qubo_value_range=tuple(qubo.get("value_range", default["qubo_value_range"])),
-            initial_params_values=init.get("values"),
-            initial_params_seed=init.get("seed"),
-        )
+        return _read(ExperimentConfig, doc, "config")
 
     def to_dict(self) -> dict:
-        qubo: dict = {}
-        if self.qubo_path is not None:
-            qubo["path"] = self.qubo_path
-        else:
-            qubo["dimension"] = self.qubo_dimension
-            qubo["seed"] = self.qubo_seed
-            qubo["value_range"] = list(self.qubo_value_range)
-        init: dict = {}
-        if self.initial_params_values is not None:
-            init["values"] = list(self.initial_params_values)
-        else:
-            init["seed"] = self.initial_params_seed
-        return {
-            "qubo": qubo,
-            "ansatz": {"reps": self.reps},
-            "alphas": list(self.alphas),
-            "shots_grid": list(self.shots_grid),
-            "runs_per_config": self.runs_per_config,
-            "optimizer": asdict(self.optimizer),
-            "p_threshold": self.p_threshold,
-            "thresholds": asdict(self.thresholds),
-            "confidence": self.confidence,
-            "master_seed": self.master_seed,
-            "initial_params": init,
-        }
+        return asdict(self, dict_factory=_json_object)
 
 
-def _settings_from_dict(cls, doc: dict):
-    """Settings dataclass from its JSON object. Keys and defaults come from the
-    dataclass; each value is coerced to its field's type, which ``config.json``'s
-    bytes and the resume digest depend on."""
-    types = get_type_hints(cls)
-    return cls(**{f.name: types[f.name](doc[f.name]) for f in fields(cls) if f.name in doc})
+def _read(tp, value, key: str):
+    """JSON ``value`` read as type ``tp``, named ``key`` in errors. A dataclass
+    reads from an object keyed by its fields, missing ones taking their
+    defaults, and every value is coerced to its field's type; an unknown key,
+    a missing required one and a non-integral integer raise ValueError."""
+    if is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValueError(f"{key} must be a JSON object")
+        known = {f.name: f for f in fields(tp)}
+        for name in sorted(value.keys() - known.keys()):
+            raise ValueError(f"unknown key {name!r} in {key}")
+        for name, f in known.items():
+            if name not in value and f.default is MISSING:
+                raise ValueError(f"{key} needs the key {name!r}")
+        types = get_type_hints(tp)
+        return tp(**{name: _read(types[name], v, name) for name, v in value.items()})
+    args = get_args(tp)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, key)
+    if get_origin(tp) in (list, tuple):
+        items = [_read(args[0], v, key) for v in value]
+        if get_origin(tp) is list:
+            return items
+        if args[-1] is not Ellipsis and len(items) != len(args):
+            raise ValueError(f"{key} needs {len(args)} values, got {len(items)}")
+        return tuple(items)
+    if tp is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value}")
+    return tp(value)
+
+
+def _json_object(items) -> dict:
+    """A dataclass's JSON object: its set fields, tuples written as lists."""
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in items if v is not None}
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -190,10 +205,6 @@ def config_id(alpha: float, shots: int) -> str:
 def _cells(cfg: ExperimentConfig) -> list[tuple[float, int, str]]:
     """The grid's (alpha, shots, config id) cells in sweep order."""
     return [(a, s, config_id(a, s)) for a, s in product(cfg.alphas, cfg.shots_grid)]
-
-
-def _config_digest(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def run_seed(master_seed: int, cid: str, run_index: int) -> int:
@@ -224,11 +235,9 @@ class RunRecord:
     wall_time: float | None = field(default=None, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            key: value
-            for key, value in asdict(self).items()
-            if key != "wall_time" and value is not None
-        }
+        doc = asdict(self, dict_factory=_json_object)
+        doc.pop("wall_time", None)
+        return doc
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
@@ -252,15 +261,16 @@ class _RunContext:
 
 def prepare_context(cfg: ExperimentConfig) -> _RunContext:
     """Resolve the QUBO, its minimizers, the cost table, and the shared start point."""
-    if cfg.qubo_path is not None:
-        q = load_qubo(cfg.qubo_path)
+    if cfg.qubo.path is not None:
+        q = load_qubo(cfg.qubo.path)
     else:
-        q = random_qubo(cfg.qubo_dimension, cfg.qubo_seed, cfg.qubo_value_range)
+        q = random_qubo(cfg.qubo.dimension, cfg.qubo.seed, cfg.qubo.value_range)
     cost_table = all_costs(q)
     brute_force_minimum(q, costs=cost_table)
-    spec = AnsatzSpec(n_qubits=q.dimension, reps=cfg.reps)
-    if cfg.initial_params_values is not None:
-        theta0 = np.asarray(cfg.initial_params_values, dtype=np.float64)
+    spec = AnsatzSpec(n_qubits=q.dimension, reps=cfg.ansatz.reps)
+    start = cfg.initial_params
+    if start.values is not None:
+        theta0 = np.asarray(start.values, dtype=np.float64)
         if theta0.shape != (spec.num_parameters,):
             raise ValueError(
                 f"initial_params has {theta0.size} values, ansatz needs {spec.num_parameters}"
@@ -268,7 +278,7 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
         if not np.isfinite(theta0).all():
             raise ValueError("initial_params values must be finite")
     else:
-        rng = np.random.default_rng(cfg.initial_params_seed)
+        rng = np.random.default_rng(start.seed)
         theta0 = rng.uniform(-math.pi, math.pi, size=spec.num_parameters)
     return _RunContext(
         qubo=q,
@@ -365,25 +375,25 @@ def run_experiment(
 ) -> list[RunRecord]:
     """Run the full (alpha, shots) grid and persist records under out_dir.
 
-    Runs execute concurrently over ``workers`` processes; the final records
-    file is identical for any worker count. With ``resume``, runs already in
-    the records file are skipped and only missing ones are computed; a
-    config that differs from the snapshot in out_dir raises ValueError
-    before any file is touched. The run context is prepared once, here, and
+    Runs execute concurrently over ``workers`` (at least 1) processes; the
+    final records file is identical for any worker count. With ``resume``,
+    runs already in the records file are skipped and only missing ones are
+    computed; a config that parses to another experiment than the snapshot
+    in out_dir raises ValueError before any file is touched, and so does a
+    worker count below 1. The run context is prepared once, here, and
     only when a run is pending; a context that cannot be prepared raises
     before the snapshot, the records or the timings are written.
     """
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
     snapshot_path = os.path.join(out_dir, CONFIG_SNAPSHOT_FILENAME)
-    if resume and os.path.exists(snapshot_path):
-        with open(snapshot_path, encoding="utf-8") as fh:
-            snapshot = json.load(fh)
-        if _config_digest(snapshot) != _config_digest(cfg.to_dict()):
-            raise ValueError(
-                f"cannot resume in {out_dir}: the config differs from its snapshot "
-                f"{CONFIG_SNAPSHOT_FILENAME}; rerun without --resume or use a new directory"
-            )
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if resume and os.path.exists(snapshot_path) and load_config(snapshot_path) != cfg:
+        raise ValueError(
+            f"cannot resume in {out_dir}: the config differs from its snapshot "
+            f"{CONFIG_SNAPSHOT_FILENAME}; rerun without --resume or use a new directory"
+        )
 
     existing: list[RunRecord] = []
     if resume and os.path.exists(records_path):

@@ -10,7 +10,7 @@ least significant bit). The same convention is used by the circuit simulator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,8 +50,6 @@ class QuboInstance:
     matrix: np.ndarray
     min_cost: float | None = None
     minimizers: tuple[BitString, ...] | None = None
-    seed: int | None = field(default=None, compare=False)
-    value_range: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.float64)
@@ -148,27 +146,22 @@ def random_qubo(
     m = np.zeros((dimension, dimension), dtype=np.float64)
     m[iu] = rng.uniform(lo, hi, size=len(iu[0]))
     m.T[iu] = m[iu]
-    return QuboInstance(matrix=m, seed=int(seed), value_range=(lo, hi))
+    return QuboInstance(matrix=m)
 
 
 def save_qubo(q: QuboInstance, path: str) -> None:
     """Write an instance to JSON (full dense matrix; see load_qubo)."""
-    doc: dict = {"dimension": q.dimension, "matrix": q.matrix.tolist()}
-    if q.seed is not None:
-        doc["seed"] = q.seed
-    if q.value_range is not None:
-        doc["value_range"] = list(q.value_range)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump({"dimension": q.dimension, "matrix": q.matrix.tolist()}, fh)
         fh.write("\n")
 
 
 def load_qubo(path: str) -> QuboInstance:
     """Read an instance from JSON, rejecting asymmetric matrices.
 
-    Expected schema: ``{"dimension": N, "matrix": [[...], ...]}`` with
-    optional ``seed`` and ``value_range`` fields. The full dense matrix is
-    stored rather than a triangle so files round-trip unambiguously.
+    Expected schema: ``{"dimension": N, "matrix": [[...], ...]}``; other keys
+    are ignored. The full dense matrix is stored rather than a triangle so
+    files round-trip unambiguously.
     """
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -177,9 +170,4 @@ def load_qubo(path: str) -> QuboInstance:
         raise ValueError(
             f"matrix shape {m.shape} does not match declared dimension {doc['dimension']}"
         )
-    vr = doc.get("value_range")
-    return QuboInstance(
-        matrix=m,
-        seed=doc.get("seed"),
-        value_range=tuple(vr) if vr is not None else None,
-    )
+    return QuboInstance(matrix=m)

@@ -78,6 +78,21 @@ class TestRun:
         assert err["error"] == "ValueError" and section in err["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, argv, named",
+        [({"optimzer": {"n_max": 50}}, [], "optimzer"), ({}, ["--workers", "0"], "workers")],
+    )
+    def test_unknown_key_or_no_worker_fails_and_writes_nothing(
+        self, tmp_path, capsys, extra, argv, named
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**tiny_config().to_dict(), **extra}))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), *argv]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and named in err["detail"]
+        assert not out.exists()
+
     def test_missing_config_fails_with_json_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

@@ -18,7 +18,10 @@ import pytest
 
 from vqabench import harness, qubo
 from vqabench.harness import (
+    AnsatzSettings,
     ExperimentConfig,
+    InitialParams,
+    QuboSource,
     RunRecord,
     analyze,
     config_id,
@@ -43,9 +46,105 @@ from vqabench.qubo import (
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+# Two config forms and the config.json snapshot bytes written for each before
+# ExperimentConfig's fields became the file's keys; the snapshot must not move.
+PATH_FORM = {
+    "qubo": {"path": "instance.json"}, "ansatz": {"reps": 0}, "alphas": [0.25, 1.0],
+    "shots_grid": [20, 50], "runs_per_config": 3,
+    "optimizer": {"n_max": 20, "rho_beg": 1.0, "rho_end": 0.001}, "p_threshold": 0.5,
+    "thresholds": {"f0": 0.7, "q0": 1.2, "r0": 0.6}, "confidence": 0.9, "master_seed": 99,
+    "initial_params": {"values": [0.1, -0.2, 0.3]},
+}
+PATH_FORM_SNAPSHOT = """\
+{
+  "alphas": [
+    0.25,
+    1.0
+  ],
+  "ansatz": {
+    "reps": 0
+  },
+  "confidence": 0.9,
+  "initial_params": {
+    "values": [
+      0.1,
+      -0.2,
+      0.3
+    ]
+  },
+  "master_seed": 99,
+  "optimizer": {
+    "n_max": 20,
+    "rho_beg": 1.0,
+    "rho_end": 0.001
+  },
+  "p_threshold": 0.5,
+  "qubo": {
+    "path": "instance.json"
+  },
+  "runs_per_config": 3,
+  "shots_grid": [
+    20,
+    50
+  ],
+  "thresholds": {
+    "f0": 0.7,
+    "q0": 1.2,
+    "r0": 0.6
+  }
+}
+"""
+# Omits value_range, ansatz, optimizer and confidence, which take their defaults.
+DRAWN_FORM = {
+    "qubo": {"dimension": 3, "seed": 5}, "alphas": [0.25, 1.0], "shots_grid": [20, 50],
+    "runs_per_config": 3, "p_threshold": 0.5, "thresholds": {"f0": 0.7, "q0": 1.2, "r0": 0.6},
+    "master_seed": 99, "initial_params": {"seed": 2},
+}
+DRAWN_FORM_SNAPSHOT = """\
+{
+  "alphas": [
+    0.25,
+    1.0
+  ],
+  "ansatz": {
+    "reps": 1
+  },
+  "confidence": 0.95,
+  "initial_params": {
+    "seed": 2
+  },
+  "master_seed": 99,
+  "optimizer": {
+    "n_max": 1000,
+    "rho_beg": 1.0,
+    "rho_end": 0.0001
+  },
+  "p_threshold": 0.5,
+  "qubo": {
+    "dimension": 3,
+    "seed": 5,
+    "value_range": [
+      -10.0,
+      10.0
+    ]
+  },
+  "runs_per_config": 3,
+  "shots_grid": [
+    20,
+    50
+  ],
+  "thresholds": {
+    "f0": 0.7,
+    "q0": 1.2,
+    "r0": 0.6
+  }
+}
+"""
+
 
 def tiny_config(**overrides) -> ExperimentConfig:
     base = dict(
+        qubo=QuboSource(dimension=3, seed=5),
         alphas=[0.25, 1.0],
         shots_grid=[20, 50],
         runs_per_config=3,
@@ -53,10 +152,8 @@ def tiny_config(**overrides) -> ExperimentConfig:
         p_threshold=0.5,
         thresholds=SelectionThresholds(0.7, 1.2, 0.6),
         master_seed=99,
-        qubo_dimension=3,
-        qubo_seed=5,
-        reps=0,
-        initial_params_seed=2,
+        initial_params=InitialParams(seed=2),
+        ansatz=AnsatzSettings(reps=0),
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -98,6 +195,80 @@ class TestConfig:
         text = path.read_text()
         assert '"n_max": 20,' in text and '"rho_beg": 1.0,' in text
 
+    @pytest.mark.parametrize(
+        "source",
+        [QuboSource(path="instance.json"), QuboSource(dimension=3, seed=5, value_range=(-2.5, 4.0))],
+    )
+    @pytest.mark.parametrize(
+        "start", [InitialParams(values=(0.1, -0.2, 0.3)), InitialParams(seed=2)]
+    )
+    def test_round_trip_keeps_the_config_and_the_bytes(self, tmp_path, source, start):
+        cfg = tiny_config(qubo=source, initial_params=start)
+        doc = cfg.to_dict()
+        assert json.loads(json.dumps(doc)) == doc  # JSON types only: tuples as lists
+        assert ExperimentConfig.from_dict(doc) == cfg
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_config(cfg, str(first))
+        assert load_config(str(first)) == cfg
+        save_config(load_config(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize(
+        "doc, snapshot", [(PATH_FORM, PATH_FORM_SNAPSHOT), (DRAWN_FORM, DRAWN_FORM_SNAPSHOT)]
+    )
+    def test_snapshot_bytes_are_pinned(self, tmp_path, doc, snapshot):
+        path = tmp_path / "config.json"
+        save_config(ExperimentConfig.from_dict(doc), str(path))
+        assert path.read_text() == snapshot
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            (None, "optimzer", {"n_max": 50}),
+            (None, "confidance", 0.9),
+            ("qubo", "dimensions", 4),
+            ("ansatz", "rep", 2),
+            ("optimizer", "nmax", 50),
+            ("thresholds", "f1", 0.5),
+            ("initial_params", "sed", 3),
+        ],
+    )
+    def test_rejects_an_unknown_key_at_every_level(self, section, key, value):
+        # A misspelled key would otherwise leave its setting at the default.
+        doc = tiny_config().to_dict()
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            ExperimentConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("runs_per_config",),
+            ("shots_grid", 1),
+            ("master_seed",),
+            ("optimizer", "n_max"),
+            ("qubo", "dimension"),
+            ("qubo", "seed"),
+            ("initial_params", "seed"),
+            ("ansatz", "reps"),
+        ],
+    )
+    def test_integer_keys_take_integral_numbers_only(self, path):
+        # A truncated master_seed or runs_per_config would change every record
+        # or the run count without a word; an integral float reads as the int.
+        doc = tiny_config().to_dict()
+        *outer, last = path
+        parent = doc
+        for step in outer:
+            parent = parent[step]
+        value = parent[last]
+        parent[last] = value + 0.5
+        with pytest.raises(ValueError, match="integer"):
+            ExperimentConfig.from_dict(doc)
+        parent[last] = float(value)
+        canonical = json.dumps(tiny_config().to_dict(), sort_keys=True)
+        assert json.dumps(ExperimentConfig.from_dict(doc).to_dict(), sort_keys=True) == canonical
+
     def test_missing_optimizer_takes_the_dataclass_defaults(self):
         doc = tiny_config().to_dict()
         del doc["optimizer"]
@@ -106,33 +277,38 @@ class TestConfig:
         assert ExperimentConfig.from_dict(doc).optimizer == OptimizerSettings(n_max=50)
 
     def test_missing_keys_take_the_dataclass_defaults(self):
-        cfg = tiny_config(confidence=0.9, reps=2, qubo_value_range=(-3.0, 3.0))
+        cfg = tiny_config(confidence=0.9, ansatz=AnsatzSettings(reps=2),
+                          qubo=QuboSource(dimension=3, seed=5, value_range=(-3.0, 3.0)))
         doc = cfg.to_dict()
         del doc["confidence"], doc["ansatz"], doc["qubo"]["value_range"]
-        omitted = ("confidence", "reps", "qubo_value_range")
+        omitted = ("confidence", "ansatz")
         default = {f.name: f.default for f in fields(ExperimentConfig) if f.name in omitted}
-        assert ExperimentConfig.from_dict(doc) == replace(cfg, **default)
+        expected = replace(cfg, qubo=QuboSource(dimension=3, seed=5), **default)
+        assert ExperimentConfig.from_dict(doc) == expected
+        assert expected.qubo.value_range == (-10.0, 10.0) and expected.ansatz.reps == 1
 
     def test_requires_a_qubo_source(self):
         with pytest.raises(ValueError, match="qubo"):
-            tiny_config(qubo_dimension=None, qubo_seed=None)
+            tiny_config(qubo=QuboSource())
 
     def test_rejects_both_start_point_forms(self):
         # Values and a seed are alternatives; with both, the snapshot would
         # keep the values and drop the seed without a word.
         with pytest.raises(ValueError, match="initial_params"):
-            tiny_config(initial_params_values=[0.1, 0.2, 0.3], initial_params_seed=7)
+            tiny_config(initial_params=InitialParams(values=(0.1, 0.2, 0.3), seed=7))
 
     def test_rejects_a_qubo_path_next_to_a_generated_qubo(self, tmp_path):
         # tiny_config keeps its dimension 3 and seed 5 unless overridden; the
         # snapshot would keep the path and drop them without a word.
         path = str(tmp_path / "q.json")
-        with pytest.raises(ValueError, match="qubo_path"):
-            tiny_config(qubo_path=path)
+        with pytest.raises(ValueError, match="path"):
+            tiny_config(qubo=QuboSource(path=path, dimension=3, seed=5))
         doc = tiny_config().to_dict()
-        for generated in ({"dimension": 5, "seed": 1}, {"dimension": 5}, {"seed": 1}):
+        drawn = ({"dimension": 5, "seed": 1}, {"dimension": 5}, {"seed": 1},
+                 {"value_range": [-1.0, 1.0]})
+        for generated in drawn:
             doc["qubo"] = {"path": path, **generated}
-            with pytest.raises(ValueError, match="qubo_path"):
+            with pytest.raises(ValueError, match="path"):
                 ExperimentConfig.from_dict(doc)
 
     def test_rejects_bad_alpha(self):
@@ -159,7 +335,7 @@ class TestConfig:
             tiny_config(alphas=alphas, shots_grid=shots_grid)
 
     def test_explicit_initial_params_length_checked(self):
-        cfg = tiny_config(initial_params_values=[0.1] * 7, initial_params_seed=None)
+        cfg = tiny_config(initial_params=InitialParams(values=(0.1,) * 7))
         with pytest.raises(ValueError, match="initial_params"):
             prepare_context(cfg)
 
@@ -174,17 +350,17 @@ class TestPrepareContext:
 
         monkeypatch.setattr(harness, "all_costs", counted)
         monkeypatch.setattr(qubo, "all_costs", counted)
-        cfg = tiny_config(qubo_dimension=6)
+        cfg = tiny_config(qubo=QuboSource(dimension=6, seed=5))
         ctx = prepare_context(cfg)
         assert len(tables) == 1
         assert ctx.cost_table is tables[0]
-        fresh = random_qubo(6, cfg.qubo_seed, cfg.qubo_value_range)
+        fresh = random_qubo(6, cfg.qubo.seed, cfg.qubo.value_range)
         assert brute_force_minimum(fresh) == (ctx.qubo.min_cost, ctx.qubo.minimizers)
         assert np.array_equal(ctx.cost_table, tables[-1])
 
     def test_refuses_to_enumerate_past_the_limit(self):
         with pytest.raises(ValueError, match="exhaustive"):
-            prepare_context(tiny_config(qubo_dimension=MAX_QUBITS + 1))
+            prepare_context(tiny_config(qubo=QuboSource(dimension=MAX_QUBITS + 1, seed=5)))
 
 
 class TestSeeds:
@@ -224,7 +400,7 @@ class TestRunSingle:
         # every bitstring minimizes the zero matrix, so p_min is exactly 1
         path = tmp_path / "zero.json"
         save_qubo(QuboInstance(matrix=np.zeros((3, 3))), str(path))
-        cfg = tiny_config(qubo_path=str(path), qubo_dimension=None, qubo_seed=None)
+        cfg = tiny_config(qubo=QuboSource(path=str(path)))
         ctx = prepare_context(cfg)
         rec = run_single(ctx, 1.0, 20, run_index=0)
         assert rec.p_min == 1.0
@@ -248,7 +424,7 @@ class TestRunSingle:
         # and fresh Born probabilities 1.0.
         n = 16
         ctx = prepare_context(tiny_config(
-            qubo_dimension=n, reps=1,
+            qubo=QuboSource(dimension=n, seed=5), ansatz=AnsatzSettings(reps=1),
             optimizer=OptimizerSettings(n_max=2 * n + 2, rho_beg=1.0, rho_end=1e-3),
         ))
         peaks = {}
@@ -377,6 +553,28 @@ class TestRunExperiment:
             run_experiment(tiny_config(**change), str(out), resume=True)
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_resume_accepts_the_same_config_written_another_way(self, tmp_path):
+        # --resume compares what the configs mean, not how they are written.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
+        records_path = out / "records.jsonl"
+        records_path.write_text("".join(records_path.read_text().splitlines(keepends=True)[::2]))
+        doc = tiny_config().to_dict()
+        doc["qubo"]["value_range"] = [-10, 10]
+        doc["optimizer"]["n_max"] = 20.0
+        copy = tmp_path / "copy.json"
+        copy.write_text(json.dumps(dict(reversed(doc.items()))))
+        run_experiment(load_config(str(copy)), str(out), resume=True)
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_refuses_fewer_than_one_worker_before_any_file(self, tmp_path, workers):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="workers"):
+            run_experiment(tiny_config(), str(out), workers=workers)
+        assert not out.exists()
+
     def test_fresh_rerun_resets_timings(self, tmp_path):
         out = tmp_path / "out"
         run_experiment(tiny_config(), str(out))
@@ -447,7 +645,7 @@ class TestRunExperiment:
         # The parent prepares the one context the workers share, so the
         # error is the context's own at any worker count, not a broken pool.
         out = tmp_path / "out"
-        cfg = tiny_config(initial_params_values=[0.1] * 7, initial_params_seed=None)
+        cfg = tiny_config(initial_params=InitialParams(values=(0.1,) * 7))
         with pytest.raises(ValueError, match="initial_params"):
             run_experiment(cfg, str(out), workers=2)
         assert not (out / "config.json").exists()
@@ -458,7 +656,7 @@ class TestRunExperiment:
         # A NaN start point would only fail inside every run, after the
         # snapshot and the records were written.
         out = tmp_path / "out"
-        cfg = tiny_config(initial_params_values=[math.nan, 0.1, 0.2], initial_params_seed=None)
+        cfg = tiny_config(initial_params=InitialParams(values=(math.nan, 0.1, 0.2)))
         with pytest.raises(ValueError, match="finite"):
             run_experiment(cfg, str(out), workers=workers)
         assert not (out / "config.json").exists()
