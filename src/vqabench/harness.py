@@ -280,6 +280,13 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
     else:
         rng = np.random.default_rng(start.seed)
         theta0 = rng.uniform(-math.pi, math.pi, size=spec.num_parameters)
+    # minimize would refuse such a budget in every run, after the files exist
+    k = spec.num_parameters
+    if cfg.optimizer.n_max < k + 2:
+        raise ValueError(
+            f"optimizer n_max={cfg.optimizer.n_max} too small: the first linear model "
+            f"over the ansatz's {k} parameters takes {k + 2} evaluations"
+        )
     return _RunContext(
         qubo=q,
         cost_table=cost_table,

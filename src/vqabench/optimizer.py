@@ -1,11 +1,21 @@
 """Derivative-free minimization with strict objective-call accounting.
 
-The default method is an unconstrained COBYLA-style linear trust region:
+The method is an unconstrained COBYLA-style linear trust region:
 keep a simplex of k+1 points, interpolate a linear model of the objective on
-it, step a distance rho against the model gradient, and accept or reject by
-actual-versus-predicted reduction. rho shrinks from ``rho_beg`` toward
-``rho_end``; a run stops when rho falls below ``rho_end`` or when the
-objective-call budget ``n_max`` is spent, whichever comes first.
+it, and move a distance on the order of rho. Each step pivots the best
+vertex (the pole) into row 0 and then makes one of three moves:
+
+- shrink: the model predicts no finite, non-negligible descent, so rho
+  halves and nothing is evaluated;
+- repair: the span is rank-deficient, or a vertex lies too far from the
+  pole or too close to the plane of the others, so that vertex is rebuilt
+  half a radius from the pole;
+- model step: the full-radius step against the model gradient, accepted or
+  rejected by actual-versus-predicted reduction (a rejection shrinks rho).
+
+rho shrinks from ``rho_beg`` toward ``rho_end``; a run stops when rho falls
+below ``rho_end`` or when the objective-call budget ``n_max`` is spent,
+whichever comes first.
 
 Every objective invocation is counted, including the calls that build the
 initial simplex, so ``n_calls == len(history)`` always and never exceeds
@@ -13,9 +23,6 @@ initial simplex, so ``n_calls == len(history)`` always and never exceeds
 a comparison, which keeps the budget guarantee even for NaN-returning
 objectives. The optimizer itself is deterministic: with a deterministic
 objective, identical (initial, settings) reproduce the full history.
-
-Alternative optimizers plug in by matching the ``minimize`` signature; this
-module's implementation is the default used for experiments.
 """
 
 from __future__ import annotations
@@ -50,9 +57,10 @@ class OptimizerSettings:
     def __post_init__(self) -> None:
         if self.n_max < 1:
             raise ValueError(f"n_max must be positive, got {self.n_max}")
-        if not 0.0 < self.rho_end < self.rho_beg:
+        if not 0.0 < self.rho_end < self.rho_beg < math.inf:
             raise ValueError(
-                f"need 0 < rho_end < rho_beg, got rho_end={self.rho_end}, rho_beg={self.rho_beg}"
+                "need 0 < rho_end < rho_beg < inf, "
+                f"got rho_end={self.rho_end}, rho_beg={self.rho_beg}"
             )
 
 
@@ -61,15 +69,15 @@ class OptimizationResult:
     final_params: np.ndarray
     n_calls: int
     best_value: float
-    history: list[tuple[int, float]] = field(repr=False)
+    history: list[float] = field(repr=False)
 
 
 def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> OptimizationResult:
     """Minimize a (possibly stochastic) objective over unconstrained reals.
 
     Returns the best evaluation seen, its value, the number of objective
-    calls consumed, and the full 1-based ``(call index, value)`` history
-    (with non-finite values stored as +inf).
+    calls consumed, and the value of every call in order (``history[i]`` is
+    call i + 1; non-finite values are stored as +inf).
     """
     x0 = np.array(initial, dtype=np.float64)
     if x0.ndim != 1 or x0.size < 1:
@@ -83,39 +91,26 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
             f"{k} parameters takes at least {k + 2} evaluations"
         )
 
-    history: list[tuple[int, float]] = []
+    history: list[float] = []
     best_x = x0.copy()
     best_f = math.inf
 
     def call(x: np.ndarray) -> float:
         nonlocal best_x, best_f
-        raw = objective(x.copy())
-        value = float(raw)
+        value = float(objective(x.copy()))
         if not math.isfinite(value):
             value = math.inf
-        history.append((len(history) + 1, value))
+        history.append(value)
         if value < best_f:
             best_f = value
             best_x = x.copy()
         return value
 
-    def done() -> OptimizationResult:
-        return OptimizationResult(
-            final_params=best_x.copy(),
-            n_calls=len(history),
-            best_value=best_f,
-            history=history,
-        )
-
     # Initial simplex: the start point plus a rho_beg step along each coordinate.
     verts = np.tile(x0, (k + 1, 1))
-    fvals = np.full(k + 1, math.inf)
-    fvals[0] = call(verts[0])
     for i in range(k):
-        if len(history) >= settings.n_max:
-            return done()
         verts[i + 1, i] += settings.rho_beg
-        fvals[i + 1] = call(verts[i + 1])
+    fvals = np.array([call(v) for v in verts])
 
     rho = settings.rho_beg
     while len(history) < settings.n_max and rho >= settings.rho_end:
@@ -128,68 +123,61 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
             fvals[0], fvals[b] = fvals[b], fvals[0]
         pole, fpole = verts[0], fvals[0]
         span = verts[1:] - pole  # row j: offset of vertex j+1
-        with np.errstate(invalid="ignore"):  # inf vertices give nan differences
+
+        # Choose the move. inf vertices give nan differences and models.
+        with np.errstate(invalid="ignore", over="ignore"):
             df = fvals[1:] - fpole
-
-        inv = _inverse_or_none(span)
-        if inv is None:
-            # Rank-deficient simplex: push the shortest offset along the
-            # null direction to restore a basis.
-            null_dir = np.linalg.svd(span)[2][-1]
-            j = int(_norms(span, axis=1).argmin())
-            step = _GEOM_FRACTION * rho * null_dir
-            step = _orient_downhill(step, span, df)
-            verts[j + 1] = pole + step
-            fvals[j + 1] = call(verts[j + 1])
-            continue
-
-        lengths = _norms(span, axis=1)
-        extents = 1.0 / _norms(inv, axis=0)  # column j: normal of vertex j+1
-        if lengths.max() > _BETA * rho or extents.min() < _ALPHA * rho:
-            # Geometry repair: rebuild the worst-placed vertex at half the
-            # trust radius along its orthogonal-complement direction.
-            if lengths.max() > _BETA * rho:
+            lengths = _norms(span, axis=1)
+            inv = _inverse_or_none(span)
+            if inv is None:
+                j = int(lengths.argmin())
+            elif lengths.max() > _BETA * rho:
                 j = int(lengths.argmax())
             else:
-                j = int(extents.argmin())
-            direction = inv[:, j] / _norm(inv[:, j])
-            step = _orient_downhill(_GEOM_FRACTION * rho * direction, span, df)
-            verts[j + 1] = pole + step
-            fvals[j + 1] = call(verts[j + 1])
-            continue
+                extents = 1.0 / _norms(inv, axis=0)  # column j: normal of vertex j+1
+                j = int(extents.argmin()) if extents.min() < _ALPHA * rho else None
+            if j is not None:
+                # Geometry repair: rebuild vertex j+1 at half the trust radius,
+                # along the null direction of a rank-deficient span, else
+                # along its orthogonal-complement direction.
+                if inv is None:
+                    direction = np.linalg.svd(span)[2][-1]
+                else:
+                    direction = inv[:, j] / _norm(inv[:, j])
+                x = pole + _orient_downhill(_GEOM_FRACTION * rho * direction, span, df)
+            else:
+                # Linear model: span @ g = df. The trust-region minimizer of
+                # the model is the full-radius step against g. A non-finite
+                # or negligible model shrinks the radius instead.
+                g = inv @ df
+                gnorm = _norm(g)
+                predicted = rho * gnorm
+                if not math.isfinite(predicted) or predicted <= 1e-13 * max(1.0, abs(fpole)):
+                    rho *= _SHRINK
+                    continue
+                x = pole - (rho / gnorm) * g
 
-        # Linear model: span @ g = df. The trust-region minimizer of the
-        # model is the full-radius step against g. A non-finite model (some
-        # vertex stuck at +inf) falls through to the radius shrink below.
-        with np.errstate(invalid="ignore", over="ignore"):
-            g = inv @ df
-        gnorm = _norm(g)
-        predicted = rho * gnorm
-        if not math.isfinite(predicted) or predicted <= 1e-13 * max(1.0, abs(fpole)):
-            rho *= _SHRINK
-            continue
-        xnew = pole - (rho / gnorm) * g
-        fnew = call(xnew)
-        actual = fpole - fnew
+        fx = call(x)
+        if j is None:
+            if fpole - fx > _ACCEPT_RATIO * predicted:
+                # Good step: replace the vertex whose span coefficient the
+                # step uses most, which keeps the simplex well conditioned.
+                j = int(np.abs(inv.T @ (x - pole)).argmax())
+            else:
+                # Poor step with sound geometry: the model is trustworthy at
+                # this scale, so tighten the radius; keep the point if it at
+                # least improves the worst vertex.
+                rho *= _SHRINK
+                w = int(fvals[1:].argmax())
+                if fx < fvals[w + 1]:
+                    j = w
+        if j is not None:
+            verts[j + 1] = x
+            fvals[j + 1] = fx
 
-        if actual > _ACCEPT_RATIO * predicted:
-            # Good step: drop the vertex whose span coefficient the step uses
-            # most, which keeps the simplex well conditioned.
-            coeffs = inv.T @ (xnew - pole)
-            j = int(np.abs(coeffs).argmax())
-            verts[j + 1] = xnew
-            fvals[j + 1] = fnew
-        else:
-            # Poor step with sound geometry: the model is trustworthy at this
-            # scale, so tighten the radius; keep the point if it at least
-            # improves the worst vertex.
-            w = 1 + int(fvals[1:].argmax())
-            if fnew < fvals[w]:
-                verts[w] = xnew
-                fvals[w] = fnew
-            rho *= _SHRINK
-
-    return done()
+    return OptimizationResult(
+        final_params=best_x, n_calls=len(history), best_value=best_f, history=history
+    )
 
 
 def _inverse_or_none(span: np.ndarray) -> np.ndarray | None:

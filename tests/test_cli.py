@@ -93,6 +93,25 @@ class TestRun:
         assert err["error"] == "ValueError" and named in err["detail"]
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "optimizer, named", [({"n_max": 4}, "n_max"), ({"rho_beg": float("inf")}, "rho_beg")]
+    )
+    def test_unusable_optimizer_settings_fail_and_write_nothing(
+        self, tmp_path, capsys, optimizer, named
+    ):
+        # Both settings used to pass set-up and fail inside every run: the
+        # budget cannot build tiny_config's 3-parameter model, and json
+        # reads the radius as Infinity.
+        doc = tiny_config().to_dict()
+        doc["optimizer"].update(optimizer)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and named in err["detail"]
+        assert not out.exists()
+
     def test_missing_config_fails_with_json_error(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 2

@@ -358,6 +358,13 @@ class TestPrepareContext:
         assert brute_force_minimum(fresh) == (ctx.qubo.min_cost, ctx.qubo.minimizers)
         assert np.array_equal(ctx.cost_table, tables[-1])
 
+    def test_refuses_a_budget_too_small_for_the_ansatz(self):
+        # Three parameters need k + 2 = 5 calls to build the first model.
+        cfg = tiny_config(optimizer=OptimizerSettings(n_max=4, rho_beg=1.0, rho_end=1e-3))
+        with pytest.raises(ValueError, match="n_max=4"):
+            prepare_context(cfg)
+        prepare_context(replace(cfg, optimizer=replace(cfg.optimizer, n_max=5)))
+
     def test_refuses_to_enumerate_past_the_limit(self):
         with pytest.raises(ValueError, match="exhaustive"):
             prepare_context(tiny_config(qubo=QuboSource(dimension=MAX_QUBITS + 1, seed=5)))
@@ -650,6 +657,15 @@ class TestRunExperiment:
             run_experiment(cfg, str(out), workers=2)
         assert not (out / "config.json").exists()
         assert not (out / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_too_small_a_budget_fails_before_any_file(self, tmp_path, workers):
+        # Every run would otherwise record the optimizer's ValueError.
+        out = tmp_path / "out"
+        cfg = tiny_config(optimizer=OptimizerSettings(n_max=4, rho_beg=1.0, rho_end=1e-3))
+        with pytest.raises(ValueError, match="n_max"):
+            run_experiment(cfg, str(out), workers=workers)
+        assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_initial_params_fail_before_any_file(self, tmp_path, workers):

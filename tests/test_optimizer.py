@@ -1,10 +1,12 @@
 """Tests for the trust-region optimizer: convergence, accounting, determinism."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from vqabench import optimizer
 from vqabench.optimizer import (
     OptimizationResult,
     OptimizerSettings,
@@ -22,6 +24,13 @@ class TestSettings:
     def test_radii_ordering_enforced(self):
         with pytest.raises(ValueError, match="rho_end"):
             OptimizerSettings(n_max=100, rho_beg=1e-4, rho_end=1.0)
+
+    @pytest.mark.parametrize("rho_beg", [math.inf, math.nan])
+    def test_radii_must_be_finite(self, rho_beg):
+        # json.load reads "Infinity" and "NaN"; an infinite radius would
+        # pass the ordering check and fail inside every run instead.
+        with pytest.raises(ValueError, match="rho_beg"):
+            OptimizerSettings(n_max=100, rho_beg=rho_beg, rho_end=1e-4)
 
     def test_budget_positive(self):
         with pytest.raises(ValueError, match="n_max"):
@@ -65,14 +74,20 @@ class TestAccounting:
         assert result.n_calls == k + 2
 
     def test_history_matches_call_count(self):
+        values = []
+
+        def recorded(x):
+            values.append(quadratic(x))
+            return values[-1]
+
         settings = OptimizerSettings(n_max=80, rho_beg=0.5, rho_end=1e-8)
-        result = minimize(quadratic, np.zeros(2), settings)
+        result = minimize(recorded, np.zeros(2), settings)
         assert len(result.history) == result.n_calls
-        assert [i for i, _ in result.history] == list(range(1, result.n_calls + 1))
+        assert result.history == values  # call i + 1 at position i
 
     def test_best_value_is_history_minimum(self):
         result = minimize(quadratic, np.zeros(3), OptimizerSettings(200, 0.7, 1e-7))
-        assert result.best_value == min(v for _, v in result.history)
+        assert result.best_value == min(result.history)
         assert quadratic(result.final_params) == pytest.approx(result.best_value, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -98,7 +113,7 @@ class TestAccounting:
         result = minimize(lambda x: math.nan, np.zeros(2), settings)
         assert result.n_calls <= 50
         assert result.best_value == math.inf
-        assert all(v == math.inf for _, v in result.history)
+        assert all(v == math.inf for v in result.history)
 
     def test_nan_never_becomes_best(self):
         calls = []
@@ -143,6 +158,79 @@ class TestValidation:
     def test_result_type(self):
         result = minimize(quadratic, np.zeros(2), OptimizerSettings(100, 0.5, 1e-5))
         assert isinstance(result, OptimizationResult)
+
+
+def noisy_staircase():
+    # A quantized quadratic with seeded noise: flat models force radius
+    # shrinks, and the noise makes model steps both pass and fail.
+    rng = np.random.default_rng(1)
+
+    def objective(x):
+        value = float(((x - 0.7) ** 2).sum()) + 0.05 * float(rng.normal())
+        return math.floor(value * 4.0) / 4.0
+
+    return objective
+
+
+def nan_patched():
+    # Every fourth call and the half-space x[0] > 0.9 read NaN, so vertices
+    # sit at +inf and the model is non-finite on some steps.
+    calls = []
+
+    def objective(x):
+        calls.append(1)
+        if len(calls) % 4 == 0 or x[0] > 0.9:
+            return math.nan
+        return float(((x - 0.5) ** 2).sum() + np.sin(3 * x).sum())
+
+    return objective
+
+
+def coupled_quadratic(x):
+    return float(((x - 1.0) ** 2).sum() + 0.3 * x[0] * x[1])
+
+
+class TestPinnedHistory:
+    """Full trajectories pinned bit for bit on paths the benchmark's
+    workloads never take: radius shrinks on a flat model, non-finite
+    vertices, and the rank-deficient (``svd``) repair. Each digest covers
+    every queried point and every history value."""
+
+    @staticmethod
+    def digest(objective, initial, settings):
+        points = []
+
+        def traced(x):
+            points.append(x.tobytes())
+            return objective(x)
+
+        result = minimize(traced, initial, settings)
+        assert len(points) == len(result.history) == result.n_calls
+        sha = hashlib.sha256(b"".join(points))
+        sha.update(" ".join(v.hex() for v in result.history).encode())
+        return result.n_calls, sha.hexdigest()
+
+    def test_noisy_staircase(self):
+        got = self.digest(noisy_staircase(), np.zeros(4), OptimizerSettings(150, 1.0, 1e-4))
+        assert got == (40, "1f6f6267a0c6375f31dbddda4c3446db9165a5ad50e2da04cfa2976ec6a238ae")
+
+    def test_nan_patched(self):
+        got = self.digest(nan_patched(), np.zeros(3), OptimizerSettings(120, 1.0, 1e-5))
+        assert got == (41, "1669201cdbe34a8cbebca6ff2fd0d1d4496ebde393753e38580f9a2258d56266")
+
+    def test_rank_deficient_steps(self, monkeypatch):
+        # Steps 3 and 9 see no inverse and rebuild a vertex along the span's
+        # null direction.
+        steps = []
+        inverse = optimizer._inverse_or_none
+
+        def failing_at_two_steps(span):
+            steps.append(1)
+            return None if len(steps) in (3, 9) else inverse(span)
+
+        monkeypatch.setattr(optimizer, "_inverse_or_none", failing_at_two_steps)
+        got = self.digest(coupled_quadratic, np.zeros(3), OptimizerSettings(80, 1.0, 1e-6))
+        assert got == (79, "9befff0e088b6c55ae5531619c0eb8c7b46822ccfa3242c74923f1cf343884af")
 
 
 class TestNormBits:
