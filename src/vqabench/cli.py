@@ -60,8 +60,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     cfg = load_config(args.config or snapshot)
     records = load_records(args.records)
     reports = analyze(records, cfg, out_dir=args.out_tables, strict=args.strict)
-    for cid in sorted(reports, key=lambda c: (reports[c].alpha, reports[c].shots)):
-        rep = reports[cid]
+    for cid, rep in reports.items():
         print(
             f"{cid}: F={rep.feasibility.value:.2f}±{rep.feasibility.half_width:.2f} "
             f"Q={rep.quality.value:.2f}±{rep.quality.half_width:.2f} "

@@ -40,7 +40,6 @@ from .cost import cost_estimate
 from .metrics import (
     ESTIMATES,
     GRID_BINS,
-    METRICS_CSV_COLUMNS,
     MetricsReport,
     RunOutcome,
     SelectionThresholds,
@@ -52,7 +51,8 @@ from .metrics import (
     quality_level_curve,
 )
 from .optimizer import OptimizerSettings, minimize
-from .qubo import QuboInstance, all_costs, brute_force_minimum, load_qubo, random_qubo
+from .qubo import (QuboInstance, all_costs, brute_force_minimum, check_enumerable, load_qubo,
+                   random_qubo)
 
 RECORDS_FILENAME = "records.jsonl"
 TIMINGS_FILENAME = "timings.jsonl"
@@ -260,13 +260,12 @@ class _RunContext:
 
 
 def prepare_context(cfg: ExperimentConfig) -> _RunContext:
-    """Resolve the QUBO, its minimizers, the cost table, and the shared start point."""
+    """Resolve the QUBO, the shared start point, the cost table and its minimizers."""
     if cfg.qubo.path is not None:
         q = load_qubo(cfg.qubo.path)
     else:
         q = random_qubo(cfg.qubo.dimension, cfg.qubo.seed, cfg.qubo.value_range)
-    cost_table = all_costs(q)
-    brute_force_minimum(q, costs=cost_table)
+    check_enumerable(q.dimension)
     spec = AnsatzSpec(n_qubits=q.dimension, reps=cfg.ansatz.reps)
     start = cfg.initial_params
     if start.values is not None:
@@ -287,6 +286,9 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
             f"optimizer n_max={cfg.optimizer.n_max} too small: the first linear model "
             f"over the ansatz's {k} parameters takes {k + 2} evaluations"
         )
+    # Last: a config refused above never pays for the 2^N enumeration.
+    cost_table = all_costs(q)
+    brute_force_minimum(q, costs=cost_table)
     return _RunContext(
         qubo=q,
         cost_table=cost_table,
@@ -374,6 +376,9 @@ def _rewrite_canonical(records: list[RunRecord], path: str) -> None:
     with open(tmp, "w", encoding="utf-8") as fh:
         for rec in sorted(records, key=_record_sort_key):
             fh.write(rec.to_json_line())
+        # on disk before the rename replaces the only copy, lest a power loss empty it
+        fh.flush()
+        os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
@@ -469,19 +474,26 @@ def analyze(
     out_dir: str | None = None,
     strict: bool = False,
 ) -> dict[str, MetricsReport]:
-    """Per-configuration metric reports, optionally written as CSV tables.
+    """Per-configuration metric reports keyed by config id in (alpha, shots)
+    order, optionally written as CSV tables.
 
     The successful records are grouped by grid cell in one pass and taken in
-    run order. Configurations without at least two of them are reported as
-    skipped and excluded from the tables and the selection. When ``out_dir``
-    is given, writes metrics.csv (one row per configuration), one pivoted
-    table per metric with shots as rows and alphas as columns, the
+    run order; a run listed twice raises ValueError before any file is
+    written. Configurations without at least two successful runs are
+    reported as skipped and excluded from the tables and the selection. When
+    ``out_dir`` is given, writes metrics.csv (one row per configuration), one
+    pivoted table per metric with shots as rows and alphas as columns, the
     selected-set listing of accepted configurations, and every grid cell's
     quality-diagram data under diagrams/<config_id>/, skipped cells included.
     """
-    runs: dict[str, list[RunRecord]] = {cid: [] for _, _, cid in _cells(cfg)}
+    cells = sorted(_cells(cfg))
+    runs: dict[str, list[RunRecord]] = {cid: [] for _, _, cid in cells}
     n_failed: Counter = Counter()
+    listed: set[tuple[str, int]] = set()
     for rec in records:
+        if (rec.config_id, rec.run_index) in listed:
+            raise ValueError(f"run {rec.run_index} of config {rec.config_id!r} is listed twice")
+        listed.add((rec.config_id, rec.run_index))
         if rec.error is not None:
             n_failed[rec.config_id] += 1
         elif rec.config_id in runs:
@@ -490,10 +502,10 @@ def analyze(
             raise ValueError(f"record config {rec.config_id!r} not in the experiment grid")
     dists: dict[str, VqaDistribution] = {}
     reports: dict[str, MetricsReport] = {}
-    for alpha, shots, cid in _cells(cfg):
+    for _, _, cid in cells:
         runs[cid].sort(key=_record_sort_key)
         outcomes = [RunOutcome(rec.n_calls, rec.p_min) for rec in runs[cid]]
-        dist = dists[cid] = VqaDistribution(outcomes, cfg.optimizer.n_max, cfg.p_threshold, cid)
+        dist = dists[cid] = VqaDistribution(outcomes, cfg.optimizer.n_max, cfg.p_threshold)
         if len(dist) < 2:
             import logging
 
@@ -502,28 +514,30 @@ def analyze(
                 cid, len(dist), n_failed[cid],
             )
             continue
-        reports[cid] = compute_report(
-            dist, cfg.thresholds, cfg.confidence, strict=strict, alpha=alpha, shots=shots
-        )
+        reports[cid] = compute_report(dist, cfg.thresholds, cfg.confidence, strict=strict)
     if out_dir is None:
         return reports
 
     os.makedirs(out_dir, exist_ok=True)
-    ordered = sorted(reports.values(), key=lambda rep: (rep.alpha, rep.shots))
-    _write_csv(os.path.join(out_dir, "metrics.csv"), METRICS_CSV_COLUMNS,
-               [rep.to_csv_row() for rep in ordered])
+    reported = [(alpha, shots, cid, reports[cid]) for alpha, shots, cid in cells if cid in reports]
+    _write_csv(os.path.join(out_dir, "metrics.csv"),
+               ["config_id", "alpha", "shots", "n_runs",
+                *(column for name in ESTIMATES for column in (name, f"{name}_err")), "verdict"],
+               [(cid, alpha, shots, rep.n_runs,
+                 *(x for name in ESTIMATES for x in getattr(rep, name)), rep.verdict.value)
+                for alpha, shots, cid, rep in reported])
     # Pivot tables: shots as rows, alphas as columns, "value ± half_width" cells.
     alphas = sorted(cfg.alphas)
     for name in ESTIMATES:
         rows = []
         for shots in sorted(cfg.shots_grid):
-            cells = (reports.get(config_id(alpha, shots)) for alpha in alphas)
+            row = (reports.get(cid) for _, s, cid in cells if s == shots)
             rows.append([shots, *("" if rep is None else "{:.2f} ± {:.2f}".format(
-                *getattr(rep, name)) for rep in cells)])
+                *getattr(rep, name)) for rep in row)])
         _write_csv(os.path.join(out_dir, f"table_{name}.csv"),
                    ["s\\alpha", *(f"{alpha:g}" for alpha in alphas)], rows)
     _write_csv(os.path.join(out_dir, "selected.csv"), ["alpha", "shots"],
-               [(f"{rep.alpha:g}", rep.shots) for rep in ordered
+               [(f"{alpha:g}", shots) for alpha, shots, _, rep in reported
                 if rep.verdict is Verdict.ACCEPTED])
 
     # Diagram data per cell: the normalized (u, v) run points, the occupancy

@@ -80,7 +80,6 @@ class VqaDistribution:
     outcomes: list[RunOutcome]
     n_max: int
     p_threshold: float
-    config_id: str = ""
 
     def __post_init__(self) -> None:
         if not 0.0 < self.p_threshold < 1.0:
@@ -109,38 +108,21 @@ class SelectionThresholds:
             raise ValueError("q0 must be >= 0")
 
 
-#: The three metrics in cascade order, each a MetricsReport field holding an
-#: Estimate; metrics.csv has a ``<metric>``, ``<metric>_err`` column pair for each.
+#: The three metrics in cascade order, each a MetricsReport field holding an Estimate.
 ESTIMATES = ("feasibility", "quality", "reproducibility")
 
 
 @dataclass
 class MetricsReport:
-    """Metric triple with error bars plus the cascade verdict for one configuration."""
+    """Metric triple with error bars, the cascade verdict and the number of
+    runs behind them, for one configuration's ensemble. Which grid cell it
+    describes is the caller's key (``harness.analyze`` keys by config id)."""
 
     feasibility: Estimate
     quality: Estimate
     reproducibility: Estimate
-    confidence: float
     verdict: Verdict
-    config_id: str = ""
-    alpha: float | None = None
-    shots: int | None = None
-    n_runs: int = 0
-
-    def to_csv_row(self) -> list:
-        estimates = [x for name in ESTIMATES for x in getattr(self, name)]
-        return [self.config_id, self.alpha, self.shots, self.n_runs, *estimates, self.verdict.value]
-
-
-METRICS_CSV_COLUMNS = [
-    "config_id",
-    "alpha",
-    "shots",
-    "n_runs",
-    *(column for name in ESTIMATES for column in (name, f"{name}_err")),
-    "verdict",
-]
+    n_runs: int
 
 
 def z_value(confidence: float) -> float:
@@ -267,8 +249,6 @@ def compute_report(
     thresholds: SelectionThresholds,
     confidence: float = 0.95,
     strict: bool = False,
-    alpha: float | None = None,
-    shots: int | None = None,
 ) -> MetricsReport:
     """Metric triple, intervals, and verdict for one configuration's ensemble.
 
@@ -283,11 +263,7 @@ def compute_report(
         feasibility=f,
         quality=q,
         reproducibility=r,
-        confidence=confidence,
         verdict=select(*edges, thresholds),
-        config_id=dist.config_id,
-        alpha=alpha,
-        shots=shots,
         n_runs=len(dist),
     )
 

@@ -76,6 +76,14 @@ def evaluate(q: QuboInstance, x: BitString | np.ndarray) -> float:
     return float(v @ q.matrix @ v)
 
 
+def check_enumerable(dimension: int) -> None:
+    """Refuse a dimension above MAX_QUBITS, whose 2^N costs are not enumerated."""
+    if dimension > MAX_QUBITS:
+        raise ValueError(
+            f"dimension {dimension} exceeds the exhaustive enumeration limit {MAX_QUBITS}"
+        )
+
+
 def all_costs(q: QuboInstance) -> np.ndarray:
     """Costs of every bitstring, indexed by basis index. O(2^N) memory, so a
     dimension above MAX_QUBITS is refused.
@@ -91,10 +99,7 @@ def all_costs(q: QuboInstance) -> np.ndarray:
     set-up allocates nothing of the table's size beside it.
     """
     n = q.dimension
-    if n > MAX_QUBITS:
-        raise ValueError(
-            f"dimension {n} exceeds the exhaustive enumeration limit {MAX_QUBITS}"
-        )
+    check_enumerable(n)
     acc = np.zeros((2,) * n, dtype=np.float64)
     for j, row in enumerate(q.matrix.tolist()):
         for k, value in enumerate(row):

@@ -90,6 +90,13 @@ def choice_oracle(state: np.ndarray, shots: int, rng: np.random.Generator) -> np
     return rng.choice(len(p), size=shots, p=p / p.sum())
 
 
+class TestAnsatzSpec:
+    @pytest.mark.parametrize("n_qubits, reps, named", [(0, 1, "n_qubits"), (2, -1, "reps")])
+    def test_shape_range_enforced(self, n_qubits, reps, named):
+        with pytest.raises(ValueError, match=named):
+            AnsatzSpec(n_qubits=n_qubits, reps=reps)
+
+
 class TestBuildStatevector:
     def test_zero_angles_leave_vacuum(self):
         spec = AnsatzSpec(n_qubits=3, reps=2)

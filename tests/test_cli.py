@@ -136,6 +136,30 @@ class TestAnalyze:
         stdout = capsys.readouterr().out
         assert "alpha=0.25_shots=20" in stdout
 
+    def test_prints_cells_in_alpha_and_shots_order(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(alphas=[1.0, 0.25], shots_grid=[50, 20]), str(cfg_path))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        argv = ["analyze", "--records", str(out / "records.jsonl"), "--out-tables"]
+        assert main(argv + [str(tmp_path / "tables")]) == 0
+        printed = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert printed == [config_id(a, s) for a in (0.25, 1.0) for s in (20, 50)]
+
+    def test_run_listed_twice_fails_and_writes_no_tables(self, experiment_dir, capsys):
+        # A concatenated records file must not double every cell's ensemble.
+        out = experiment_dir / "out"
+        lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        (out / "doubled.jsonl").write_text("".join(line * 2 for line in lines))
+        tables = experiment_dir / "tables"
+        code = main(["analyze", "--records", str(out / "doubled.jsonl"),
+                     "--out-tables", str(tables)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "listed twice" in err["detail"]
+        assert not tables.exists()
+
     def test_missing_snapshot_fails_with_json_error(self, experiment_dir, capsys):
         records = experiment_dir / "elsewhere" / "records.jsonl"
         records.parent.mkdir()

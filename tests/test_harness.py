@@ -33,7 +33,7 @@ from vqabench.harness import (
     run_single,
     save_config,
 )
-from vqabench.metrics import SelectionThresholds, Verdict
+from vqabench.metrics import ESTIMATES, SelectionThresholds, Verdict
 from vqabench.optimizer import OptimizerSettings
 from vqabench.qubo import (
     MAX_QUBITS,
@@ -315,6 +315,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="alpha"):
             tiny_config(alphas=[0.0])
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"alphas": []}, "alphas"),
+            ({"shots_grid": []}, "shots_grid"),
+            ({"shots_grid": [20, 0]}, "shots"),
+            ({"runs_per_config": 0}, "runs_per_config"),
+            ({"p_threshold": 0.0}, "p_threshold"),
+            ({"p_threshold": 1.0}, "p_threshold"),
+        ],
+    )
+    def test_rejects_an_empty_grid_or_out_of_range_setting(self, overrides, named):
+        with pytest.raises(ValueError, match=named):
+            tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            (None, "optimizer", 5, "optimizer must be a JSON object"),
+            ("qubo", "value_range", [1.0], "value_range needs 2 values, got 1"),
+        ],
+    )
+    def test_rejects_a_value_of_the_wrong_shape(self, section, key, value, message):
+        doc = tiny_config().to_dict()
+        (doc if section is None else doc[section])[key] = value
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
+
     @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, math.nan])
     def test_rejects_bad_confidence(self, confidence):
         # caught here, before a sweep runs, not in analyze's z_value
@@ -364,6 +392,22 @@ class TestPrepareContext:
         with pytest.raises(ValueError, match="n_max=4"):
             prepare_context(cfg)
         prepare_context(replace(cfg, optimizer=replace(cfg.optimizer, n_max=5)))
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"optimizer": OptimizerSettings(n_max=4, rho_beg=1.0, rho_end=1e-3)}, "n_max"),
+            ({"initial_params": InitialParams(values=(0.1,) * 7)}, "initial_params"),
+        ],
+    )
+    def test_refused_config_builds_no_cost_table(self, monkeypatch, overrides, named):
+        # The checks need only the QUBO's dimension, not its 2^N costs.
+        def enumerated(q):
+            raise AssertionError("all_costs called before the config was checked")
+
+        monkeypatch.setattr(harness, "all_costs", enumerated)
+        with pytest.raises(ValueError, match=named):
+            prepare_context(tiny_config(**overrides))
 
     def test_refuses_to_enumerate_past_the_limit(self):
         with pytest.raises(ValueError, match="exhaustive"):
@@ -487,6 +531,32 @@ class TestRunExperiment:
         records_path.write_text("".join(lines[::2]))  # drop every other record
         run_experiment(tiny_config(), str(out), resume=True)
         assert records_path.read_bytes() == full
+
+    def test_canonical_rewrite_is_synced_before_it_replaces_the_records(
+        self, tmp_path, monkeypatch
+    ):
+        # The rename replaces the only copy of the records; a temp file whose
+        # data is not yet on disk could leave an empty file after a power loss.
+        out = tmp_path / "out"
+        records_path = str(out / "records.jsonl")
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino, os.fstat(fd).st_size))
+            real_fsync(fd)
+
+        def replace_file(src, dst):
+            if dst == records_path:
+                events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(harness.os, "fsync", fsync)
+        monkeypatch.setattr(harness.os, "replace", replace_file)
+        run_experiment(tiny_config(), str(out))
+        size = os.path.getsize(records_path)
+        assert [event[0] for event in events] == ["fsync", "replace"]
+        assert events[0][1:] == events[1][1:] == (os.stat(records_path).st_ino, size)
 
     def test_resume_after_torn_last_line(self, tmp_path):
         out = tmp_path / "out"
@@ -760,11 +830,13 @@ class TestAnalyze:
         assert est.value == pytest.approx(0.70)
         assert est.half_width == pytest.approx(1.959964 * math.sqrt(0.7 * 0.3 / 400), abs=1e-6)
 
-    def test_alpha_reported_as_configured(self):
+    def test_alpha_reported_as_configured(self, tmp_path):
         cfg = tiny_config(alphas=[0.123456789, 1.0], runs_per_config=4)
         records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
-        report = analyze(records, cfg)[config_id(0.123456789, 20)]
-        assert report.alpha == 0.123456789
+        analyze(records, cfg, out_dir=str(tmp_path))
+        with open(tmp_path / "metrics.csv", encoding="utf-8", newline="") as fh:
+            rows = {row["config_id"]: row for row in csv.DictReader(fh)}
+        assert float(rows[config_id(0.123456789, 20)]["alpha"]) == 0.123456789
 
     def test_identical_records_fully_reproducible(self):
         cfg = tiny_config(runs_per_config=50)
@@ -814,7 +886,12 @@ class TestAnalyze:
             "reproducibility,reproducibility_err,verdict"
         )
         assert len(rows) == len(reports) == 4
-        assert all(row["verdict"] in {v.value for v in Verdict} for row in rows)
+        for row, (cid, rep) in zip(rows, reports.items()):
+            assert row["config_id"] == cid
+            assert int(row["n_runs"]) == rep.n_runs
+            for name in ESTIMATES:
+                assert (float(row[name]), float(row[f"{name}_err"])) == getattr(rep, name)
+            assert row["verdict"] == rep.verdict.value
         table = (tmp_path / "table_feasibility.csv").read_text().splitlines()
         assert table[0] == "s\\alpha,0.25,1"
         assert table[1].startswith("20,") and table[2].startswith("50,")
@@ -830,6 +907,28 @@ class TestAnalyze:
         )
         with pytest.raises(ValueError, match="grid"):
             analyze([rogue], cfg)
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_run_listed_twice_rejected_before_any_file(self, tmp_path, failed):
+        # A concatenated records file would otherwise double the cell's
+        # n_runs and narrow its intervals.
+        cfg = tiny_config(runs_per_config=6)
+        records = synthetic_records(cfg, {(a, s): 3 for a in cfg.alphas for s in cfg.shots_grid})
+        twice = replace(records[7])
+        if failed:
+            twice.error = "boom"
+            twice.n_calls = twice.p_min = twice.best_cost = None
+        out = tmp_path / "tables"
+        with pytest.raises(ValueError, match=rf"run 1 of config '{twice.config_id}' is listed twice"):
+            analyze(records + [twice], cfg, out_dir=str(out))
+        assert not out.exists()
+
+    def test_reports_follow_alpha_and_shots_order(self):
+        cfg = tiny_config(alphas=[1.0, 0.25], shots_grid=[50, 20], runs_per_config=4)
+        records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
+        assert list(analyze(records, cfg)) == [
+            config_id(a, s) for a in (0.25, 1.0) for s in (20, 50)
+        ]
 
     def test_every_successful_record_counted_once(self):
         cfg = tiny_config(runs_per_config=6)

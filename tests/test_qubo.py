@@ -38,6 +38,11 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not finite"):
             QuboInstance(matrix=m)
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (0, 0)])
+    def test_non_square_or_empty_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            QuboInstance(matrix=np.zeros(shape))
+
 
 class TestEvaluate:
     def test_all_zeros_is_free(self):
