@@ -42,17 +42,19 @@ buffers of 8 B per amplitude and gathers through the cached map, another 8 B
 per amplitude kept for the life of the process. This module keeps each
 thread's working memory and reuses it from call to call while N stays the
 same: the state pair of ``state_buffers``, whose buffer not holding the
-state being sampled takes the CDF, and, from 2^N shots up, a guide table of
-2 * 2^N + 1 buckets at 9 B per bucket, plus an 8 B count per bucket
-allocated for each call. At N = 24 the two state buffers take 256 MiB and
-only from 2^24 shots up does the guide table add 288 MiB, plus its 256 MiB
-of counts during a call. The map adds 128 MiB per process.
+state being sampled takes the CDF, and, from 0.4 * 2^N shots up, a guide
+table of 2 * 2^N + 1 buckets at 9 B per bucket, plus an 8 B count per
+bucket allocated for each call. At N = 24 the two state buffers take
+256 MiB and only from 0.4 * 2^24 shots (6.7M) up does the guide table add
+288 MiB, plus its 256 MiB of counts during a call. The map adds 128 MiB per
+process, and the mask of global minimizers that ``exact_p_min`` reads, kept
+by its caller, 1 B per amplitude (16 MiB).
 
 Sampling inverts the CDF of the Born probabilities, on exactly the stream
 of ``Generator.choice``. The draws are resolved in fixed chunks, each
 filled by ``rng.random(out=)``, which continues the generator's stream as
-one ``rng.random(shots)`` would: below 2^N shots each chunk is searched in
-sorted order, and from 2^N shots up through the guide table. The
+one ``rng.random(shots)`` would: below 0.4 * 2^N shots each chunk is
+searched in sorted order, and from there up through the guide table. The
 temporaries are chunk-sized, so the only shots-sized array is the indices,
 and they go into an ``out`` array that a caller can reuse from call to call.
 """
@@ -66,7 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qubo import MAX_QUBITS, QuboInstance, bits_to_index
+from .qubo import MAX_QUBITS
 
 #: Draws resolved per pass of the guide table: small enough that a pass's
 #: temporaries stay in L2, large enough to amortize the per-pass calls.
@@ -235,9 +237,10 @@ def sample_bitstrings(
     each draw u maps to the number of CDF entries <= u. The draws are
     resolved in chunks of ``_CHUNK``, each filled by ``rng.random(out=)``,
     which continues the same stream, so the temporaries stay chunk-sized.
-    Fewer draws than outcomes are searched in sorted order and scattered
+    Fewer draws than 0.4 * 2^N are searched in sorted order and scattered
     back in draw order, so each index stays at the position of its uniform;
-    more go through a guide table.
+    more go through a guide table, the faster of the two from there up at
+    N = 12 to 16.
 
     The indices go into ``out`` (a length-``shots`` ``intp`` array that a
     caller can reuse from call to call), which is returned, or into a new
@@ -255,7 +258,8 @@ def sample_bitstrings(
     idx = np.empty(shots, dtype=np.intp) if out is None else out
     d = len(cdf)
     u = np.empty(min(shots, _CHUNK))
-    if shots >= d:
+    guided = 5 * shots >= 2 * d
+    if guided:
         # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power
         # of two, so u * k and cdf * k are exact and bucket b = floor(u * k)
         # holds the CDF entries in [b / k, (b + 1) / k). The entries below the
@@ -279,7 +283,7 @@ def sample_bitstrings(
         uc = u[: min(_CHUNK, shots - lo)]
         rng.random(out=uc)
         chunk = idx[lo : lo + len(uc)]
-        if shots < d:
+        if not guided:
             # Sorted keys walk the CDF forward, each search starting from the
             # last one's answer; the scatter restores draw order.
             order = uc.argsort()
@@ -298,24 +302,20 @@ def sample_bitstrings(
     return idx
 
 
-def exact_p_min(state: np.ndarray, q: QuboInstance) -> float:
+def exact_p_min(state: np.ndarray, is_minimal: np.ndarray) -> float:
     """Exact probability of measuring a global-minimum bitstring.
 
-    Computed from the statevector, not estimated from shots, so the success
-    probability of an output circuit carries no sampling noise. The Born
-    probabilities go into this thread's state-sized buffer of
-    ``state_buffers`` not holding ``state``.
+    ``is_minimal`` is brute_force_minimum's mask over basis indices, and one
+    of another length than the state is refused. Computed from the
+    statevector, not estimated from shots, so the success probability of an
+    output circuit carries no sampling noise. The Born probabilities go into
+    this thread's state-sized buffer of ``state_buffers`` not holding ``state``.
     """
-    if q.minimizers is None:
-        raise ValueError("minimizers not populated; run brute_force_minimum first")
-    if len(state) != (1 << q.dimension):
-        raise ValueError(
-            f"state dimension {len(state)} does not match 2^{q.dimension}"
-        )
+    if len(is_minimal) != len(state):
+        raise ValueError(f"state dimension {len(state)} does not match mask of {len(is_minimal)}")
     p, total = _born_probabilities(state, out=_scratch(state))
-    indices = np.fromiter((bits_to_index(m) for m in q.minimizers), dtype=np.int64)
     # Rescale by the realized total mass: removes ~1e-16 normalization drift,
     # and a fully degenerate instance (every bitstring minimal) gives exactly 1.
-    value = float(p[indices].sum()) / total
+    value = float(p[is_minimal].sum()) / total
     assert -1e-12 <= value <= 1.0 + 1e-12
     return min(max(value, 0.0), 1.0)

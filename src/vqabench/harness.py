@@ -51,8 +51,7 @@ from .metrics import (
     quality_level_curve,
 )
 from .optimizer import OptimizerSettings, minimize
-from .qubo import (QuboInstance, all_costs, brute_force_minimum, check_enumerable, load_qubo,
-                   random_qubo)
+from .qubo import all_costs, brute_force_minimum, check_enumerable, load_qubo, random_qubo
 
 RECORDS_FILENAME = "records.jsonl"
 TIMINGS_FILENAME = "timings.jsonl"
@@ -247,12 +246,12 @@ class RunRecord:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class _RunContext:
-    """Immutable shared state for all runs of one experiment."""
+    """Shared state for all runs of one experiment, its arrays read-only."""
 
-    qubo: QuboInstance
     cost_table: np.ndarray
+    is_minimal: np.ndarray
     spec: AnsatzSpec
     initial_params: np.ndarray
     settings: OptimizerSettings
@@ -260,7 +259,7 @@ class _RunContext:
 
 
 def prepare_context(cfg: ExperimentConfig) -> _RunContext:
-    """Resolve the QUBO, the shared start point, the cost table and its minimizers."""
+    """Resolve the QUBO, the shared start point, the cost table and its minimum mask."""
     if cfg.qubo.path is not None:
         q = load_qubo(cfg.qubo.path)
     else:
@@ -288,10 +287,12 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
         )
     # Last: a config refused above never pays for the 2^N enumeration.
     cost_table = all_costs(q)
-    brute_force_minimum(q, costs=cost_table)
+    for shared in (theta0, cost_table):
+        shared.setflags(write=False)
+    _, is_minimal = brute_force_minimum(q, costs=cost_table)
     return _RunContext(
-        qubo=q,
         cost_table=cost_table,
+        is_minimal=is_minimal,
         spec=spec,
         initial_params=theta0,
         settings=cfg.optimizer,
@@ -322,7 +323,7 @@ def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> Ru
         # The last build and its probabilities reuse the objective's buffers.
         states = state_buffers(ctx.spec.n_qubits)
         state = build_statevector(ctx.spec, result.final_params, buffers=states)
-        p_min = exact_p_min(state, ctx.qubo)
+        p_min = exact_p_min(state, ctx.is_minimal)
         # set together, after the last call that can raise: a record holds
         # either the whole outcome or the error
         rec.n_calls, rec.p_min, rec.best_cost = result.n_calls, p_min, result.best_value
@@ -478,13 +479,14 @@ def analyze(
     order, optionally written as CSV tables.
 
     The successful records are grouped by grid cell in one pass and taken in
-    run order; a run listed twice raises ValueError before any file is
-    written. Configurations without at least two successful runs are
-    reported as skipped and excluded from the tables and the selection. When
-    ``out_dir`` is given, writes metrics.csv (one row per configuration), one
-    pivoted table per metric with shots as rows and alphas as columns, the
-    selected-set listing of accepted configurations, and every grid cell's
-    quality-diagram data under diagrams/<config_id>/, skipped cells included.
+    run order; a run listed twice, or one of a cell outside the grid, failed
+    or not, raises ValueError before any file is written. Configurations
+    without at least two successful runs are reported as skipped and
+    excluded from the tables and the selection. When ``out_dir`` is given,
+    writes metrics.csv (one row per configuration), one pivoted table per
+    metric with shots as rows and alphas as columns, the selected-set
+    listing of accepted configurations, and every grid cell's quality-diagram
+    data under diagrams/<config_id>/, skipped cells included.
     """
     cells = sorted(_cells(cfg))
     runs: dict[str, list[RunRecord]] = {cid: [] for _, _, cid in cells}
@@ -494,12 +496,12 @@ def analyze(
         if (rec.config_id, rec.run_index) in listed:
             raise ValueError(f"run {rec.run_index} of config {rec.config_id!r} is listed twice")
         listed.add((rec.config_id, rec.run_index))
+        if rec.config_id not in runs:
+            raise ValueError(f"record config {rec.config_id!r} not in the experiment grid")
         if rec.error is not None:
             n_failed[rec.config_id] += 1
-        elif rec.config_id in runs:
-            runs[rec.config_id].append(rec)
         else:
-            raise ValueError(f"record config {rec.config_id!r} not in the experiment grid")
+            runs[rec.config_id].append(rec)
     dists: dict[str, VqaDistribution] = {}
     reports: dict[str, MetricsReport] = {}
     for _, _, cid in cells:

@@ -5,6 +5,8 @@ binary vector x is x^T Q x (off-diagonal pairs counted twice through the full
 double sum). Bitstrings are tuples of 0/1 ints where bit i is variable x_i,
 and map to integer basis indices via ``index = sum(x_i * 2**i)`` (bit 0 is the
 least significant bit). The same convention is used by the circuit simulator.
+The set of global minimizers is a boolean mask over those indices, which the
+simulator reads as it is.
 """
 
 from __future__ import annotations
@@ -38,18 +40,15 @@ def index_to_bits(index: int, dimension: int) -> BitString:
     return tuple((index >> i) & 1 for i in range(dimension))
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuboInstance:
-    """A symmetric QUBO matrix plus, once computed, its global-minimum data.
+    """A symmetric QUBO matrix, held as a read-only ``float64`` array.
 
-    ``min_cost`` and ``minimizers`` start unset and are populated by
-    brute_force_minimum. Instances are treated as immutable after that point
-    and are safe to share across concurrent runs.
+    Frozen, so an instance is safe to share across concurrent runs; its
+    global minimum is computed apart from it, by brute_force_minimum.
     """
 
     matrix: np.ndarray
-    min_cost: float | None = None
-    minimizers: tuple[BitString, ...] | None = None
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=np.float64)
@@ -61,7 +60,7 @@ class QuboInstance:
         if skew > SYMMETRY_TOLERANCE:
             raise ValueError(f"matrix is not symmetric: max |Q[i,j] - Q[j,i]| = {skew:g}")
         m.setflags(write=False)
-        self.matrix = m
+        object.__setattr__(self, "matrix", m)
 
     @property
     def dimension(self) -> int:
@@ -111,25 +110,23 @@ def all_costs(q: QuboInstance) -> np.ndarray:
 
 def brute_force_minimum(
     q: QuboInstance, *, costs: np.ndarray | None = None
-) -> tuple[float, tuple[BitString, ...]]:
-    """Exhaustive global minimum of a QUBO instance.
+) -> tuple[float, np.ndarray]:
+    """Exhaustive global minimum of a QUBO instance: ``(min_cost, is_minimal)``.
 
-    Enumerates all 2^N bitstrings, returns the minimum cost and every
-    bitstring whose cost is within ``1e-9 * max(1, |min|)`` of it (relative
-    tolerance keeps degenerate-minimum detection stable for real-valued
-    matrices). Also populates ``q.min_cost`` and ``q.minimizers``; the
-    minimizers are sorted by basis index. Deterministic. ``costs``, if given,
-    is ``all_costs(q)`` already computed, and is used instead of a new table.
+    Enumerates all 2^N bitstrings. ``is_minimal`` is a read-only boolean
+    array over basis indices, True where the cost is within
+    ``1e-9 * max(1, |min|)`` of the minimum (relative tolerance keeps
+    degenerate-minimum detection stable for real-valued matrices); list the
+    minimizers with ``index_to_bits(i, N)`` over ``np.flatnonzero(is_minimal)``.
+    Deterministic, and ``q`` is left as it is. ``costs``, if given, is
+    ``all_costs(q)`` already computed, and is used instead of a new table.
     """
     if costs is None:
         costs = all_costs(q)
     min_cost = float(costs.min())
-    tol = 1e-9 * max(1.0, abs(min_cost))
-    hits = np.nonzero(costs <= min_cost + tol)[0]
-    minimizers = tuple(index_to_bits(int(i), q.dimension) for i in hits)
-    q.min_cost = min_cost
-    q.minimizers = minimizers
-    return min_cost, minimizers
+    is_minimal = costs <= min_cost + 1e-9 * max(1.0, abs(min_cost))
+    is_minimal.setflags(write=False)
+    return min_cost, is_minimal
 
 
 def random_qubo(

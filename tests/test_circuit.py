@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from vqabench import circuit
 from vqabench.circuit import (
     _CHUNK,
     AnsatzSpec,
@@ -308,6 +309,27 @@ class TestSampling:
         state = self._state(kind, 16, rng)
         self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
 
+    @pytest.mark.parametrize("kind", ["zeros", "spread"])
+    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("guided", [False, True], ids=["sorted-search", "guide-table"])
+    def test_equals_generator_choice_stream_either_side_of_the_switch(
+        self, monkeypatch, kind, n, guided
+    ):
+        # The guide table takes over from ceil(0.4 * 2^N) shots: 1 639 at
+        # N=12 and 26 215 at N=16.
+        shots = -(-2 * (1 << n) // 5) - (not guided)
+        tables = []
+
+        def reused(name, key, make, reused=circuit._reused):
+            tables.append(name == "guide")
+            return reused(name, key, make)
+
+        monkeypatch.setattr(circuit, "_reused", reused)
+        rng = np.random.default_rng(200 + n)
+        state = self._state(kind, n, rng)
+        self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
+        assert any(tables) == guided
+
     @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread"])
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize(
@@ -361,8 +383,7 @@ class TestSampling:
         # one at reps 1 (13 swaps at N=12) in the second; the CDF goes into
         # the other one either way.
         n = 12
-        q = random_qubo(n, seed=reps)
-        brute_force_minimum(q)
+        _, is_minimal = brute_force_minimum(random_qubo(n, seed=reps))
         spec = AnsatzSpec(n, reps)
         params = np.random.default_rng(reps).uniform(-3, 3, spec.num_parameters)
         buffers = state_buffers(n)
@@ -370,11 +391,11 @@ class TestSampling:
         assert state is buffers[reps]
         before = state.tobytes()
         got = sample_bitstrings(state, shots, np.random.default_rng(5))
-        p_min = exact_p_min(state, q)
+        p_min = exact_p_min(state, is_minimal)
         assert state.tobytes() == before
         copy = np.frombuffer(before).copy()
         assert np.array_equal(got, sample_bitstrings(copy, shots, np.random.default_rng(5)))
-        assert p_min == exact_p_min(copy, q)
+        assert p_min == exact_p_min(copy, is_minimal)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_chisquare_against_exact_probabilities(self, seed):
@@ -397,59 +418,67 @@ class TestSampling:
 class TestExactPMin:
     def test_vacuum_hits_all_zero_minimizer(self):
         q = QuboInstance(matrix=np.array([[1.0, 0.0], [0.0, 1.0]]))
-        brute_force_minimum(q)  # unique minimizer (0, 0)
+        _, is_minimal = brute_force_minimum(q)  # unique minimizer (0, 0)
         state = build_statevector(AnsatzSpec(2, 1), np.zeros(4))
-        assert exact_p_min(state, q) == pytest.approx(1.0, abs=1e-12)
+        assert exact_p_min(state, is_minimal) == pytest.approx(1.0, abs=1e-12)
 
     def test_vacuum_misses_ones_minimizer(self):
         q = QuboInstance(matrix=np.array([[-1.0, 0.0], [0.0, -1.0]]))
-        brute_force_minimum(q)  # unique minimizer (1, 1)
+        _, is_minimal = brute_force_minimum(q)  # unique minimizer (1, 1)
         state = build_statevector(AnsatzSpec(2, 1), np.zeros(4))
-        assert exact_p_min(state, q) == pytest.approx(0.0, abs=1e-12)
+        assert exact_p_min(state, is_minimal) == pytest.approx(0.0, abs=1e-12)
 
     def test_degenerate_instance_sums_to_one(self):
         q = QuboInstance(matrix=np.zeros((2, 2)))
-        brute_force_minimum(q)  # every bitstring minimizes
+        _, is_minimal = brute_force_minimum(q)  # every bitstring minimizes
         state = build_statevector(AnsatzSpec(2, 0), np.array([math.pi / 2, math.pi / 2]))
-        assert exact_p_min(state, q) == pytest.approx(1.0, abs=1e-12)
-
-    def test_requires_populated_minimizers(self):
-        q = QuboInstance(matrix=np.zeros((2, 2)))
-        state = build_statevector(AnsatzSpec(2, 0), np.zeros(2))
-        with pytest.raises(ValueError, match="minimizers"):
-            exact_p_min(state, q)
+        assert exact_p_min(state, is_minimal) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         q = QuboInstance(matrix=np.zeros((3, 3)))
-        brute_force_minimum(q)
+        _, is_minimal = brute_force_minimum(q)
         state = build_statevector(AnsatzSpec(2, 0), np.zeros(2))
         with pytest.raises(ValueError, match="dimension"):
-            exact_p_min(state, q)
+            exact_p_min(state, is_minimal)
+
+    @pytest.mark.parametrize("length", [3, 5, 8])
+    def test_mask_of_another_length_rejected(self, length):
+        # One entry short or long, or the mask of twice the state's size.
+        state = build_statevector(AnsatzSpec(2, 0), np.zeros(2))
+        with pytest.raises(ValueError, match="does not match"):
+            exact_p_min(state, np.ones(length, dtype=bool))
+
+    def test_fully_degenerate_n16_gives_exactly_one(self):
+        n = 16
+        _, is_minimal = brute_force_minimum(QuboInstance(matrix=np.zeros((n, n))))
+        params = np.random.default_rng(4).uniform(-3, 3, 2 * n)
+        state = build_statevector(AnsatzSpec(n, 1), params)
+        assert exact_p_min(state, is_minimal) == 1.0
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_enumeration(self, seed):
         n = 6
         q = random_qubo(n, seed=seed)
-        brute_force_minimum(q)
+        _, is_minimal = brute_force_minimum(q)
         rng = np.random.default_rng(seed)
         spec = AnsatzSpec(n, 1)
         state = build_statevector(spec, rng.uniform(-2, 2, spec.num_parameters))
         probs = exact_probabilities(state)
         by_bits = {index_to_bits(i, n): probs[i] for i in range(2**n)}
-        expected = sum(by_bits[m] for m in q.minimizers)
-        assert exact_p_min(state, q) == pytest.approx(expected, abs=1e-12)
+        found = [index_to_bits(int(i), n) for i in np.flatnonzero(is_minimal)]
+        expected = sum(by_bits[m] for m in found)
+        assert exact_p_min(state, is_minimal) == pytest.approx(expected, abs=1e-12)
 
     def test_warm_call_allocates_nothing_state_sized(self):
         # The Born probabilities go into this thread's working memory, so a
         # warm N=16 call allocates far less than one 2^N float64 state (1.0).
         n = 16
-        q = random_qubo(n, seed=2)
-        brute_force_minimum(q)
+        _, is_minimal = brute_force_minimum(random_qubo(n, seed=2))
         state = build_statevector(AnsatzSpec(n, 1), np.random.default_rng(2).uniform(-3, 3, 2 * n))
-        exact_p_min(state, q)
+        exact_p_min(state, is_minimal)
         tracemalloc.start()
         try:
-            exact_p_min(state, q)
+            exact_p_min(state, is_minimal)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -11,7 +11,7 @@ import pytest
 
 import vqabench
 from vqabench.cli import main
-from vqabench.harness import config_id, save_config
+from vqabench.harness import RunRecord, config_id, save_config
 from vqabench.metrics import SelectionThresholds
 
 from test_harness import tiny_config
@@ -158,6 +158,20 @@ class TestAnalyze:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "listed twice" in err["detail"]
+        assert not tables.exists()
+
+    def test_failed_run_outside_the_grid_fails_and_writes_no_tables(self, experiment_dir, capsys):
+        out = experiment_dir / "out"
+        rogue = RunRecord(config_id="alpha=0.5_shots=7", alpha=0.5, shots=7, run_index=0,
+                          seed=1, error="boom")
+        records = (out / "records.jsonl").read_text() + rogue.to_json_line()
+        (out / "merged.jsonl").write_text(records)
+        tables = experiment_dir / "tables"
+        code = main(["analyze", "--records", str(out / "merged.jsonl"),
+                     "--out-tables", str(tables)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "not in the experiment grid" in err["detail"]
         assert not tables.exists()
 
     def test_missing_snapshot_fails_with_json_error(self, experiment_dir, capsys):

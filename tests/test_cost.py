@@ -173,7 +173,7 @@ class TestCostEstimate:
 
     @pytest.mark.parametrize(
         "n, shots",
-        [(12, (100_000, 400_000)), (16, (20_000, 60_000))],
+        [(12, (100_000, 400_000)), (16, (10_000, 26_000))],
         ids=["guide-table", "sorted-search"],
     )
     def test_warm_call_allocates_nothing_that_grows_with_shots(self, n, shots):
@@ -183,7 +183,7 @@ class TestCostEstimate:
         # Only the index list of the multi-entry buckets varies with the
         # draws, by a few hundred bytes.
         # One temporary entry per shot would grow the peak by 2.4 MB and by
-        # 320 kB between the two shots counts.
+        # 128 kB between the two shots counts.
         small, large = (self._warm_call_peak(n, s) for s in shots)
         chunk_bytes = _CHUNK * 8
         assert large <= small + chunk_bytes // 8
@@ -239,7 +239,7 @@ class TestCostEstimate:
 
     @pytest.mark.parametrize("shots", [10, 1000])
     def test_one_pricing_path_on_both_sides_of_2_pow_n(self, monkeypatch, shots):
-        # 10 < 2^6 <= 1000: the sorted search and the guide table both write
+        # 10 < 0.4 * 2^6 <= 1000: the sorted search and the guide table both write
         # into this thread's buffers, so warm calls hand the sampler one array.
         spec = AnsatzSpec(6, 1)
         table = all_costs(random_qubo(6, seed=3))
@@ -269,9 +269,9 @@ class TestCostEstimate:
             spec = AnsatzSpec(n, 1)
             params = np.random.default_rng(9).uniform(-3, 3, spec.num_parameters)
             problems[n] = (all_costs(random_qubo(n, seed=9)), spec, params)
-        # (N, shots) per stream: 500 shots < 2^10 take the sorted search, the
-        # others the guide table.
-        streams = [(10, 500), (10, 3_000), (8, 20_000), (10, 20_000), (10, 20_000), (8, 3_000)]
+        # (N, shots) per stream: 400 shots < 0.4 * 2^10 take the sorted search,
+        # the others the guide table.
+        streams = [(10, 400), (10, 3_000), (8, 20_000), (10, 20_000), (10, 20_000), (8, 3_000)]
         expected = [
             self._stream(*problems[n], shots, seed, 6) for seed, (n, shots) in enumerate(streams)
         ]

@@ -383,8 +383,16 @@ class TestPrepareContext:
         assert len(tables) == 1
         assert ctx.cost_table is tables[0]
         fresh = random_qubo(6, cfg.qubo.seed, cfg.qubo.value_range)
-        assert brute_force_minimum(fresh) == (ctx.qubo.min_cost, ctx.qubo.minimizers)
+        assert np.array_equal(brute_force_minimum(fresh)[1], ctx.is_minimal)
         assert np.array_equal(ctx.cost_table, tables[-1])
+
+    def test_frozen_with_read_only_arrays(self):
+        ctx = prepare_context(tiny_config())
+        assert "qubo" not in {f.name for f in fields(ctx)}
+        with pytest.raises(AttributeError):
+            ctx.cost_table = np.zeros(8)
+        for array in (ctx.cost_table, ctx.is_minimal, ctx.initial_params):
+            assert not array.flags.writeable
 
     def test_refuses_a_budget_too_small_for_the_ansatz(self):
         # Three parameters need k + 2 = 5 calls to build the first model.
@@ -907,6 +915,22 @@ class TestAnalyze:
         )
         with pytest.raises(ValueError, match="grid"):
             analyze([rogue], cfg)
+
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_record_outside_the_grid_rejected_before_any_file(self, tmp_path, failed):
+        # A failed run of another experiment is no more this grid's than a
+        # successful one; it used to be counted as a failure and ignored.
+        cfg = tiny_config()
+        records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
+        rogue = RunRecord(config_id="alpha=0.5_shots=7", alpha=0.5, shots=7, run_index=0, seed=1)
+        if failed:
+            rogue.error = "boom"
+        else:
+            rogue.n_calls, rogue.p_min, rogue.best_cost = 3, 0.5, 0.0
+        out = tmp_path / "tables"
+        with pytest.raises(ValueError, match=r"'alpha=0.5_shots=7' not in the experiment grid"):
+            analyze(records + [rogue], cfg, out_dir=str(out))
+        assert not out.exists()
 
     @pytest.mark.parametrize("failed", [False, True])
     def test_run_listed_twice_rejected_before_any_file(self, tmp_path, failed):

@@ -3,6 +3,7 @@
 import itertools
 import json
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def make_qubo(rows) -> QuboInstance:
     return QuboInstance(matrix=np.array(rows, dtype=float))
 
 
+def minimizers(q: QuboInstance) -> tuple[float, tuple]:
+    """The minimum cost and the minimizing bitstrings, by basis index."""
+    min_cost, is_minimal = brute_force_minimum(q)
+    return min_cost, tuple(index_to_bits(int(i), q.dimension) for i in np.flatnonzero(is_minimal))
+
+
 class TestConstruction:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
@@ -42,6 +49,15 @@ class TestConstruction:
     def test_non_square_or_empty_matrix_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
             QuboInstance(matrix=np.zeros(shape))
+
+    def test_frozen_with_a_read_only_matrix(self):
+        q = make_qubo([[1, -2], [-2, 1]])
+        with pytest.raises(AttributeError):
+            q.matrix = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            q.min_cost = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            q.matrix[0, 0] = 5.0
 
 
 class TestEvaluate:
@@ -79,20 +95,17 @@ class TestEvaluate:
 class TestBruteForce:
     def test_two_variable_coupling(self):
         q = make_qubo([[1, -2], [-2, 1]])
-        min_cost, minimizers = brute_force_minimum(q)
-        assert min_cost == -2.0
-        assert minimizers == ((1, 1),)
-        assert q.min_cost == -2.0 and q.minimizers == ((1, 1),)
+        assert minimizers(q) == (-2.0, ((1, 1),))
 
     def test_zero_matrix_fully_degenerate(self):
         q = make_qubo(np.zeros((3, 3)))
-        min_cost, minimizers = brute_force_minimum(q)
+        min_cost, found = minimizers(q)
         assert min_cost == 0.0
-        assert set(minimizers) == set(itertools.product([0, 1], repeat=3))
+        assert set(found) == set(itertools.product([0, 1], repeat=3))
 
     def test_negative_diagonal(self):
         q = make_qubo([[-1, 0], [0, -1]])
-        assert brute_force_minimum(q) == (-2.0, ((1, 1),))
+        assert minimizers(q) == (-2.0, ((1, 1),))
 
     def test_limit_enforced(self):
         # Raises before anything is enumerated: 2^25 costs would take 256 MiB.
@@ -104,10 +117,10 @@ class TestBruteForce:
     def test_minimum_bounds_every_bitstring(self, seed):
         n = 8
         q = random_qubo(n, seed=seed)
-        min_cost, minimizers = brute_force_minimum(q)
+        min_cost, found = minimizers(q)
         for index in range(2**n):
             assert evaluate(q, index_to_bits(index, n)) >= min_cost - 1e-9
-        for m in minimizers:
+        for m in found:
             assert evaluate(q, m) == pytest.approx(min_cost, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [5, 23])
@@ -116,11 +129,34 @@ class TestBruteForce:
         q = random_qubo(n, seed=seed)
         perm = np.random.default_rng(seed).permutation(n)
         permuted = QuboInstance(matrix=q.matrix[np.ix_(perm, perm)])
-        _, minimizers = brute_force_minimum(q)
-        _, permuted_minimizers = brute_force_minimum(permuted)
+        _, found = minimizers(q)
+        _, permuted_minimizers = minimizers(permuted)
         # variable i of the permuted problem is variable perm[i] of the original
-        expected = {tuple(m[p] for p in perm) for m in minimizers}
+        expected = {tuple(m[p] for p in perm) for m in found}
         assert set(permuted_minimizers) == expected
+
+
+    def test_returns_a_read_only_mask_and_leaves_the_instance_alone(self):
+        q = make_qubo([[1, -2], [-2, 1]])
+        before = q.matrix.tobytes()
+        _, is_minimal = brute_force_minimum(q)
+        assert is_minimal.dtype == bool and is_minimal.tolist() == [False, False, False, True]
+        assert not is_minimal.flags.writeable
+        assert q.matrix.tobytes() == before and [f.name for f in fields(q)] == ["matrix"]
+
+    def test_fully_degenerate_n16_peaks_below_a_quarter_table(self):
+        # The mask is the only array it makes: 1 B per bitstring, an eighth
+        # of the 8 B cost table. The minimizers as bitstring tuples took 23.
+        q = QuboInstance(matrix=np.zeros((16, 16)))
+        costs = qubo.all_costs(q)
+        tracemalloc.start()
+        try:
+            min_cost, is_minimal = brute_force_minimum(q, costs=costs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert min_cost == 0.0 and is_minimal.all()
+        assert peak <= 0.25 * costs.nbytes
 
 
 class TestRandomQubo:
