@@ -43,10 +43,10 @@ per amplitude kept for the life of the process. This module keeps each
 thread's working memory and reuses it from call to call while N stays the
 same: the state pair of ``state_buffers``, whose buffer not holding the
 state being sampled takes the CDF, and, from 0.4 * 2^N shots up, a guide
-table of 2 * 2^N + 1 buckets at 9 B per bucket, plus an 8 B count per
+table of 2 * 2^N + 1 buckets at 8 B per bucket, plus an 8 B count per
 bucket allocated for each call. At N = 24 the two state buffers take
 256 MiB and only from 0.4 * 2^24 shots (6.7M) up does the guide table add
-288 MiB, plus its 256 MiB of counts during a call. The map adds 128 MiB per
+256 MiB, plus its 256 MiB of counts during a call. The map adds 128 MiB per
 process, and the mask of global minimizers that ``exact_p_min`` reads, kept
 by its caller, 1 B per amplitude (16 MiB).
 
@@ -242,15 +242,20 @@ def sample_bitstrings(
     more go through a guide table, the faster of the two from there up at
     N = 12 to 16.
 
-    The indices go into ``out`` (a length-``shots`` ``intp`` array that a
-    caller can reuse from call to call), which is returned, or into a new
-    array without it. The CDF and the guide table live in this thread's
-    working memory: the CDF in the state-sized buffer of ``state_buffers``
-    not holding ``state``. Identical (state, shots, generator state) yields
-    identical samples; use index_to_bits for the tuple form of an outcome.
+    The indices go into ``out`` (a writable ``(shots,)`` ``intp`` array that a
+    caller can reuse from call to call; any other is refused before a uniform
+    is drawn), which is returned, or into a new array without it. The CDF and
+    the guide table live in this thread's working memory: the CDF in the
+    state-sized buffer of ``state_buffers`` not holding ``state``. Identical
+    (state, shots, generator state) yields identical samples; use
+    index_to_bits for the tuple form of an outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if out is not None and (
+        out.dtype != np.intp or out.shape != (shots,) or not out.flags.writeable
+    ):
+        raise ValueError(f"out must be writable ({shots},) intp, got {out.dtype} {out.shape}")
     cdf, total = _born_probabilities(state, out=_scratch(state))
     cdf /= total
     cdf.cumsum(out=cdf)
@@ -260,25 +265,17 @@ def sample_bitstrings(
     u = np.empty(min(shots, _CHUNK))
     guided = 5 * shots >= 2 * d
     if guided:
-        # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power
-        # of two, so u * k and cdf * k are exact and bucket b = floor(u * k)
-        # holds the CDF entries in [b / k, (b + 1) / k). The entries below the
-        # bucket are all <= u and those above it all exceed u; a bucket
-        # holding one entry needs one comparison, and a fuller one a binary
-        # search. An empty bucket's next entry lies above it, so the
-        # comparison is False there.
+        # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power of
+        # two, so u * k and cdf * k are exact: the CDF entries below bucket
+        # b = floor(u * k) are <= u and those past it exceed u. A draw maps to
+        # the first entry > u from ``below[b]``, the count below bucket b, on.
+        # bincount reads the keys before ``below`` is written over them.
         k = 2 * d
-        below, multi = _reused(
-            "guide", d, lambda: (np.empty(k + 1, dtype=np.intp), np.empty(k + 1, dtype=bool))
-        )
-        # The bucket keys are read once, by bincount, before ``below`` is
-        # written over them.
+        below = _reused("guide", d, lambda: np.empty(k + 1, dtype=np.intp))
         keys = np.multiply(cdf, k, out=below[:d], casting="unsafe")
-        count = np.bincount(keys, minlength=k + 1)
-        count.cumsum(out=below)
-        below -= count
-        np.greater(count, 1, out=multi)
-        bucket = np.empty(len(u), dtype=np.intp)
+        np.bincount(keys, minlength=k + 1)[:k].cumsum(out=below[1:])
+        below[0] = 0
+        bucket, entries, flags = (np.empty(len(u), dtype=t) for t in (np.intp, float, bool))
     for lo in range(0, shots, _CHUNK):
         uc = u[: min(_CHUNK, shots - lo)]
         rng.random(out=uc)
@@ -294,10 +291,11 @@ def sample_bitstrings(
         b = np.multiply(uc, k, out=bucket[: len(uc)], casting="unsafe")
         # Indices are in range by construction; mode="raise" would copy out.
         below.take(b, out=chunk, mode="clip")
-        chunk += cdf[chunk] <= uc
-        # The draws in multi-entry buckets, as one index list that serves
-        # both the gather and the scatter.
-        many = multi[b].nonzero()[0]
+        # Step past the bucket's first entry where it is <= u, and search only
+        # the few draws whose next entry is <= u too. None passes the last, 1.0.
+        entry, flag = entries[: len(uc)], flags[: len(uc)]
+        chunk += np.less_equal(cdf.take(chunk, out=entry, mode="clip"), uc, out=flag)
+        many = np.less_equal(cdf.take(chunk, out=entry, mode="clip"), uc, out=flag).nonzero()[0]
         chunk[many] = cdf.searchsorted(uc[many], side="right")
     return idx
 
@@ -306,11 +304,13 @@ def exact_p_min(state: np.ndarray, is_minimal: np.ndarray) -> float:
     """Exact probability of measuring a global-minimum bitstring.
 
     ``is_minimal`` is brute_force_minimum's mask over basis indices, and one
-    of another length than the state is refused. Computed from the
-    statevector, not estimated from shots, so the success probability of an
-    output circuit carries no sampling noise. The Born probabilities go into
-    this thread's state-sized buffer of ``state_buffers`` not holding ``state``.
+    not ``bool`` or of another length than the state is refused. Computed
+    from the statevector, not estimated from shots, so it carries no sampling
+    noise. The Born probabilities go into this thread's state-sized buffer of
+    ``state_buffers`` not holding ``state``.
     """
+    if is_minimal.dtype != bool:
+        raise ValueError(f"the mask must be bool, got {is_minimal.dtype}")
     if len(is_minimal) != len(state):
         raise ValueError(f"state dimension {len(state)} does not match mask of {len(is_minimal)}")
     p, total = _born_probabilities(state, out=_scratch(state))

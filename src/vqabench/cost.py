@@ -75,8 +75,8 @@ def cost_estimate(
 
     The state is built in this thread's ``state_buffers`` and the sampler
     keeps its CDF and guide table in the same thread's working memory, so a
-    warm call allocates only chunk-sized temporaries and, from 2^N shots up,
-    the guide table's counts. The draws go into one reused 8 B entry per
+    warm call allocates only chunk-sized temporaries and, from 0.4 * 2^N shots
+    up, the guide table's counts. The draws go into one reused 8 B entry per
     shot. They are priced one chunk at a time through a chunk buffer and
     copied back over themselves, so the same memory, viewed as ``float64``,
     holds their costs, which CVaR then partitions in place.

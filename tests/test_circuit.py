@@ -285,12 +285,19 @@ class TestSampling:
         elif kind == "zeros":  # exact-zero probabilities, runs of equal CDF entries
             state = rng.uniform(-1, 1, d) * (rng.random(d) < 0.4)
             state[rng.integers(d)] = 0.5
-        else:  # peaked: one outcome carries most of the mass
+        elif kind == "peaked":  # one outcome carries most of the mass
             state = rng.random(d) ** 8
             state[rng.integers(d)] = 4.0
+        else:  # crowded: one dominant amplitude, 2^N - 1 tiny ones and runs of
+            # four zeros. The CDF entries before the dominant one all fall in
+            # the guide table's first bucket and most after it in its last,
+            # hundreds to a bucket at N = 12.
+            state = rng.uniform(1e-3, 2e-3, d) / d
+            state[np.arange(d) // 4 % 3 == 0] = 0.0
+            state[rng.integers(d)] = 1.0
         return state / np.linalg.norm(state)
 
-    @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread"])
+    @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread", "crowded"])
     @pytest.mark.parametrize("n", [1, 4, 10])
     @pytest.mark.parametrize(
         "shots_of",
@@ -309,14 +316,14 @@ class TestSampling:
         state = self._state(kind, 16, rng)
         self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
 
-    @pytest.mark.parametrize("kind", ["zeros", "spread"])
-    @pytest.mark.parametrize("n", [12, 16])
+    @pytest.mark.parametrize("kind", ["zeros", "spread", "crowded"])
+    @pytest.mark.parametrize("n", [6, 12, 16])
     @pytest.mark.parametrize("guided", [False, True], ids=["sorted-search", "guide-table"])
     def test_equals_generator_choice_stream_either_side_of_the_switch(
         self, monkeypatch, kind, n, guided
     ):
-        # The guide table takes over from ceil(0.4 * 2^N) shots: 1 639 at
-        # N=12 and 26 215 at N=16.
+        # The guide table takes over from ceil(0.4 * 2^N) shots: 26 at N=6,
+        # 1 639 at N=12 and 26 215 at N=16.
         shots = -(-2 * (1 << n) // 5) - (not guided)
         tables = []
 
@@ -330,7 +337,7 @@ class TestSampling:
         self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
         assert any(tables) == guided
 
-    @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread"])
+    @pytest.mark.parametrize("kind", ["point", "zeros", "peaked", "spread", "crowded"])
     @pytest.mark.parametrize("n", [10, 12])
     @pytest.mark.parametrize(
         "shots",
@@ -341,6 +348,47 @@ class TestSampling:
         rng = np.random.default_rng(100 + n)
         state = self._state(kind, n, rng)
         self._assert_same_stream_as_choice(state, shots, int(rng.integers(2**63)))
+
+    @pytest.mark.parametrize("n", [6, 12])
+    def test_crowded_buckets_reach_the_search(self, n):
+        # A guided draw starts at the first CDF entry of its bucket; those
+        # that need two or more steps from there are resolved by the search.
+        # Counted here from the CDF alone: the entries below bucket b are
+        # those < b / k, as cdf * k is exact.
+        shots, k = 100_000, 2 << n
+        rng = np.random.default_rng(300 + n)
+        state = self._state("crowded", n, rng)
+        seed = int(rng.integers(2**63))
+        p, total = _born_probabilities(state)
+        cdf = np.cumsum(p / total)
+        cdf /= cdf[-1]
+        u = np.random.default_rng(seed).random(shots)
+        start = cdf.searchsorted((u * k).astype(np.intp) / k, side="left")
+        got = sample_bitstrings(state, shots, np.random.default_rng(seed))
+        assert np.count_nonzero(got - start >= 2) > 0
+        self._assert_same_stream_as_choice(state, shots, seed)
+
+    @pytest.mark.parametrize("shots", [100, 1_000], ids=["sorted-search", "guide-table"])
+    @pytest.mark.parametrize(
+        "out",
+        [
+            lambda s: np.zeros(2 * s, dtype=np.intp),
+            lambda s: np.zeros(s - 1, dtype=np.intp),
+            lambda s: np.zeros((s, 1), dtype=np.intp),
+            lambda s: np.zeros(s, dtype=np.int32),
+            lambda s: np.zeros(s, dtype=np.float64),
+            lambda s: np.broadcast_to(np.intp(0), s),
+        ],
+        ids=["too-long", "too-short", "2-d", "int32", "float64", "read-only"],
+    )
+    def test_wrong_out_refused_before_any_draw(self, shots, out):
+        # At N = 10, 100 shots take the sorted search and 1 000 the table.
+        state = self._state("spread", 10, np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="out"):
+            sample_bitstrings(state, shots, rng, out=out(shots))
+        assert rng.bit_generator.state == before
 
     @staticmethod
     def _assert_same_stream_as_choice(state: np.ndarray, shots: int, seed: int) -> None:
@@ -362,7 +410,7 @@ class TestSampling:
         # The CDF and the guide table live in this thread's working memory,
         # so a warm N=16 call at 100 000 shots allocates the guide table's
         # counts (2 * 2^N + 1 entries of 8 B, 2.0 states here) and chunk-sized
-        # temporaries. A fresh CDF and guide table would add 3.25 states.
+        # temporaries. A fresh CDF and guide table would add 3 states.
         n, shots = 16, 100_000
         rng = np.random.default_rng(3)
         state = self._state("spread", n, rng)
@@ -440,6 +488,15 @@ class TestExactPMin:
         state = build_statevector(AnsatzSpec(2, 0), np.zeros(2))
         with pytest.raises(ValueError, match="dimension"):
             exact_p_min(state, is_minimal)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float64])
+    def test_mask_that_is_not_bool_rejected(self, dtype):
+        # A 0/1 mask of the right length would index p[0] and p[1] over and
+        # over instead of selecting the minimizers.
+        _, is_minimal = brute_force_minimum(random_qubo(4, seed=1))
+        state = build_statevector(AnsatzSpec(4, 1), np.random.default_rng(1).uniform(-3, 3, 8))
+        with pytest.raises(ValueError, match="bool"):
+            exact_p_min(state, is_minimal.astype(dtype))
 
     @pytest.mark.parametrize("length", [3, 5, 8])
     def test_mask_of_another_length_rejected(self, length):
