@@ -54,9 +54,10 @@ Sampling inverts the CDF of the Born probabilities, on exactly the stream
 of ``Generator.choice``. The draws are resolved in fixed chunks, each
 filled by ``rng.random(out=)``, which continues the generator's stream as
 one ``rng.random(shots)`` would: below 0.4 * 2^N shots each chunk is
-searched in sorted order, and from there up through the guide table. The
-temporaries are chunk-sized, so the only shots-sized array is the indices,
-and they go into an ``out`` array that a caller can reuse from call to call.
+searched in sorted order, and from there up through the guide table, whose
+bucket indices are gathered over in place. The other temporaries (uniforms,
+CDF probes, flags) are chunk-sized, so the only shots-sized array is the
+indices, in an ``out`` array that a caller can reuse from call to call.
 """
 
 from __future__ import annotations
@@ -214,7 +215,8 @@ def _born_probabilities(
     once for both the normalization check and the callers that rescale by it."""
     p = np.square(state, out=out)
     total = float(np.add.reduce(p))
-    assert abs(total - 1.0) < 1e-10, f"state not normalized: sum p = {total}"
+    if not abs(total - 1.0) < 1e-10:  # NaN too, and not lost under ``python -O``
+        raise ValueError(f"state not normalized: sum p = {total}")
     return p, total
 
 
@@ -275,7 +277,7 @@ def sample_bitstrings(
         keys = np.multiply(cdf, k, out=below[:d], casting="unsafe")
         np.bincount(keys, minlength=k + 1)[:k].cumsum(out=below[1:])
         below[0] = 0
-        bucket, entries, flags = (np.empty(len(u), dtype=t) for t in (np.intp, float, bool))
+        entries, flags = np.empty(len(u)), np.empty(len(u), dtype=bool)
     for lo in range(0, shots, _CHUNK):
         uc = u[: min(_CHUNK, shots - lo)]
         rng.random(out=uc)
@@ -286,11 +288,11 @@ def sample_bitstrings(
             order = uc.argsort()
             chunk[order] = cdf.searchsorted(uc[order], side="right")
             continue
-        # The product is formed in float64 and truncated on the cast into
-        # the intp buffer, as ``(uc * k).astype(np.intp)`` would.
-        b = np.multiply(uc, k, out=bucket[: len(uc)], casting="unsafe")
-        # Indices are in range by construction; mode="raise" would copy out.
-        below.take(b, out=chunk, mode="clip")
+        # Truncated on the cast from float64, as ``(uc * k).astype(np.intp)``
+        # would. ``take`` reads each in-range bucket index before writing its
+        # start over it; mode="raise" would copy out.
+        np.multiply(uc, k, out=chunk, casting="unsafe")
+        below.take(chunk, out=chunk, mode="clip")
         # Step past the bucket's first entry where it is <= u, and search only
         # the few draws whose next entry is <= u too. None passes the last, 1.0.
         entry, flag = entries[: len(uc)], flags[: len(uc)]

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .circuit import _CHUNK, AnsatzSpec, _reused, build_statevector, sample_bitstrings, state_buffers
+from .circuit import AnsatzSpec, _reused, build_statevector, sample_bitstrings, state_buffers
 
 
 def cvar_tail_count(n_samples: int, alpha: float) -> int:
@@ -68,27 +68,25 @@ def cost_estimate(
     """One objective evaluation: build, sample, price, CVaR.
 
     Builds the ansatz state for ``params``, samples ``shots`` bitstrings,
-    prices each by lookup in ``cost_table`` (the QUBO costs of all 2^N
-    bitstrings by basis index, from qubo.all_costs), and returns the
-    CVaR_alpha of the sample. One invocation corresponds to one quantum
-    circuit evaluated when counting optimizer calls.
+    prices each by lookup in ``cost_table`` (the 2^N ``float64`` QUBO costs
+    by basis index from qubo.all_costs; any other table is refused before the
+    build), and returns their CVaR_alpha. One invocation corresponds to one
+    quantum circuit evaluated when counting optimizer calls.
 
     The state is built in this thread's ``state_buffers`` and the sampler
     keeps its CDF and guide table in the same thread's working memory, so a
     warm call allocates only chunk-sized temporaries and, from 0.4 * 2^N shots
     up, the guide table's counts. The draws go into one reused 8 B entry per
-    shot. They are priced one chunk at a time through a chunk buffer and
-    copied back over themselves, so the same memory, viewed as ``float64``,
-    holds their costs, which CVaR then partitions in place.
+    shot and are priced over themselves by one ``take``: it reads each index
+    before it writes that entry, so the same memory, viewed as ``float64``,
+    then holds their costs, which CVaR partitions in place.
     """
+    shape, dtype = np.shape(cost_table), getattr(cost_table, "dtype", None)
+    if dtype != np.float64 or shape != (1 << spec.n_qubits,):
+        raise ValueError(f"cost_table must be ({1 << spec.n_qubits},) float64, got {shape} {dtype}")
     state = build_statevector(spec, params, buffers=state_buffers(spec.n_qubits))
     draws = _reused("shots", shots, lambda: np.empty(shots, dtype=np.intp))
     sample_bitstrings(state, shots, rng, out=draws)
-    costs = draws.view(np.float64)
-    priced = np.empty(min(shots, _CHUNK), dtype=cost_table.dtype)
-    for lo in range(0, shots, _CHUNK):
-        chunk = draws[lo : lo + _CHUNK]
-        # The draws index the table by construction; mode="raise" would copy out.
-        part = cost_table.take(chunk, out=priced[: len(chunk)], mode="clip")
-        costs[lo : lo + len(chunk)] = part
+    # The draws index the table by construction; mode="raise" would copy out.
+    costs = cost_table.take(draws, out=draws.view(np.float64), mode="clip")
     return cvar(costs, alpha, overwrite=True)

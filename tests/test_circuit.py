@@ -9,7 +9,11 @@ for the sampler's draws and generator stream.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +237,51 @@ class TestExactProbabilities:
         state /= math.sqrt(state @ state)
         total = _born_probabilities(state)[1]
         assert total.hex() == float(np.square(state).sum()).hex()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: sample_bitstrings(s, 10, np.random.default_rng(0)),
+            lambda s: sample_bitstrings(s, 1_000, np.random.default_rng(0)),
+            lambda s: exact_p_min(s, np.ones(len(s), dtype=bool)),
+        ],
+        ids=["sorted-search", "guide-table", "exact_p_min"],
+    )
+    @pytest.mark.parametrize("fill", [np.nan, 0.5], ids=["nan", "total-16"])
+    def test_unnormalized_state_refused(self, call, fill):
+        with pytest.raises(ValueError, match="not normalized"):
+            call(np.full(64, fill))
+
+    def test_unnormalized_state_refused_under_python_O(self):
+        # ``python -O`` strips asserts, so the check must raise by itself,
+        # and NaN must fail it: ``abs(nan - 1.0) < 1e-10`` is false.
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from vqabench.circuit import exact_p_min, sample_bitstrings\n"
+            "if __debug__:\n"
+            "    sys.exit('asserts are on')\n"
+            "calls = {\n"
+            "    'sorted-search': lambda s: sample_bitstrings(s, 10, np.random.default_rng(0)),\n"
+            "    'guide-table': lambda s: sample_bitstrings(s, 1_000, np.random.default_rng(0)),\n"
+            "    'exact_p_min': lambda s: exact_p_min(s, np.ones(len(s), dtype=bool)),\n"
+            "}\n"
+            "for name, call in calls.items():\n"
+            "    for fill in (np.nan, 0.5):\n"
+            "        try:\n"
+            "            call(np.full(64, fill))\n"
+            "        except ValueError as err:\n"
+            "            if 'not normalized' not in str(err):\n"
+            "                sys.exit(f'{name}, {fill}: {err}')\n"
+            "        else:\n"
+            "            sys.exit(f'{name} took a state of {fill}s')\n"
+        )
+        src = str(Path(circuit.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestSampling:

@@ -1,5 +1,6 @@
 """Tests for CVaR tail means and sampled cost estimates."""
 
+import functools
 import sys
 import threading
 import time
@@ -155,6 +156,63 @@ class TestCostEstimate:
         direct = [evaluate(q, index_to_bits(int(x), q.dimension)) for x in samples]
         assert with_table == pytest.approx(cvar(direct, 0.5), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            lambda t: t[:40],
+            lambda t: np.concatenate([t, t]),
+            lambda t: t.reshape(8, 8),
+            lambda t: t.astype(np.float32),
+            lambda t: t.astype(np.int64),
+            lambda t: t.tolist(),
+        ],
+        ids=["short", "long", "2-d", "float32", "int64", "list"],
+    )
+    def test_wrong_cost_table_refused_before_the_build(self, monkeypatch, table):
+        # Pricing clips each draw into the table and writes the costs over
+        # the draws as float64, so a table of another length would price
+        # silently wrong and one of another dtype could not be written.
+        spec = AnsatzSpec(6, 1)
+        good = all_costs(random_qubo(6, seed=3))
+        params = np.random.default_rng(3).uniform(-3, 3, spec.num_parameters)
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+
+        def build(*args, **kwargs):
+            raise AssertionError("the state was built for a refused table")
+
+        monkeypatch.setattr(cost, "build_statevector", build)
+        with pytest.raises(ValueError, match="cost_table"):
+            cost_estimate(spec, params, table(good), 0.25, 1000, rng)
+        assert rng.bit_generator.state == before
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _problem(n):
+        spec = AnsatzSpec(n, 1)
+        params = np.random.default_rng(n).uniform(-3, 3, spec.num_parameters)
+        return all_costs(random_qubo(n, seed=n)), spec, params
+
+    @pytest.mark.parametrize("n", [12, 18], ids=["guide-table", "sorted-search"])
+    @pytest.mark.parametrize(
+        "shots",
+        [_CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5, 100_000],
+        ids=["CHUNK-1", "CHUNK", "CHUNK+1", "3*CHUNK+5", "100000"],
+    )
+    def test_equals_cvar_of_the_priced_samples_across_chunks(self, n, shots):
+        # Every shots count here takes the guide table at N=12 (from
+        # 0.4 * 2^12 = 1 639 shots) and the sorted search at N=18 (below
+        # 104 858). Pricing the draws over themselves must give the bits of
+        # pricing a copy, and leave the generator where the sampler does.
+        assert (5 * shots >= 2 << n) == (n == 12)
+        table, spec, params = self._problem(n)
+        own, direct = np.random.default_rng(shots), np.random.default_rng(shots)
+        got = cost_estimate(spec, params, table, 0.15, shots, own)
+        state = build_statevector(spec, params)
+        expected = cvar(table[sample_bitstrings(state, shots, direct)], 0.15)
+        assert got.hex() == expected.hex()
+        assert own.random() == direct.random()
+
     @staticmethod
     def _warm_call_peak(n, shots):
         """Tracemalloc peak of a warm objective call at N=n."""
@@ -188,6 +246,13 @@ class TestCostEstimate:
         chunk_bytes = _CHUNK * 8
         assert large <= small + chunk_bytes // 8
         assert small <= 8 * chunk_bytes
+
+    def test_warm_guided_call_gathers_over_its_own_draws(self):
+        # The draws are priced over themselves, and the guide table's bucket
+        # indices are gathered over in the draws' own chunk: about 3.2 float64
+        # chunks at N=12, s=100 000. A pricing buffer and a bucket buffer
+        # would add a chunk each.
+        assert self._warm_call_peak(12, 100_000) <= 3.5 * _CHUNK * 8
 
     def test_warm_call_allocates_nothing_state_sized(self):
         # At N=16 and 1 000 shots the state, its scratch and the samples all
