@@ -1,11 +1,14 @@
 """Command-line interface: run experiments and analyze their records.
 
 Subcommands:
-    run      --config <file> --out <dir> [--workers N] [--resume]
+    run      --config <file> --out <dir> [--workers N]
     analyze  --records <file> --out-tables <dir> [--config <file>] [--strict]
 
 ``run`` takes every run input from the config file, and the worker count
-from --workers. ``analyze`` applies the selection cascade to the records
+from --workers. It completes the experiment in --out: runs already recorded
+there are kept and only the missing ones are computed, so a stopped run is
+finished by the same command, and a directory that holds another experiment
+is refused. ``analyze`` applies the selection cascade to the records
 and writes the metric tables, selected.csv and every cell's quality-diagram
 data under diagrams/<config_id>/. It reads the config snapshot written next
 to the records file unless --config is given, so a copy of that config with
@@ -36,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--workers", type=int, default=1)
-    p_run.add_argument("--resume", action="store_true")
 
     p_an = sub.add_parser("analyze", help="compute metric tables from run records")
     p_an.add_argument("--records", required=True)
@@ -49,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    records = run_experiment(cfg, args.out, workers=args.workers, resume=args.resume)
+    records = run_experiment(cfg, args.out, workers=args.workers)
     n_failed = sum(1 for r in records if r.error is not None)
     print(f"{len(records)} records written to {args.out} ({n_failed} failed)")
     return 0

@@ -6,8 +6,8 @@ seeded as SHA-256(master_seed | config_id | run_index) truncated to 64 bits,
 so records are reproducible for a given build regardless of worker count or
 scheduling; floating-point determinism across platforms is not promised.
 
-Run records are JSON Lines, appended as runs complete (so interrupted
-experiments resume by skipping finished (config_id, run_index) pairs) and
+Run records are JSON Lines, appended as runs complete (so rerunning a stopped
+experiment computes only the missing (config_id, run_index) pairs) and
 rewritten in canonical (alpha, shots, run_index) order on completion, making
 record files byte-identical across reruns and worker counts. Wall times are
 inherently nondeterministic and therefore live in a separate timings.jsonl
@@ -152,8 +152,10 @@ class ExperimentConfig:
 def _read(tp, value, key: str):
     """JSON ``value`` read as type ``tp``, named ``key`` in errors. A dataclass
     reads from an object keyed by its fields, missing ones taking their
-    defaults, and every value is coerced to its field's type; an unknown key,
-    a missing required one and a non-integral integer raise ValueError."""
+    defaults, and every value is coerced to its field's type. An unknown key,
+    a missing required one, a non-integral integer and a value of the wrong
+    JSON type (a list or tuple takes an array, a string field a string and a
+    numeric one a number other than true or false) raise ValueError."""
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be a JSON object")
@@ -169,12 +171,21 @@ def _read(tp, value, key: str):
     if type(None) in args:  # X | None
         return None if value is None else _read(args[0], value, key)
     if get_origin(tp) in (list, tuple):
+        if not isinstance(value, list):
+            raise ValueError(f"{key} must be a JSON array, got {value!r}")
         items = [_read(args[0], v, key) for v in value]
         if get_origin(tp) is list:
             return items
         if args[-1] is not Ellipsis and len(items) != len(args):
             raise ValueError(f"{key} needs {len(args)} values, got {len(items)}")
         return tuple(items)
+    if tp is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{key} must be a string, got {value!r}")
+        return value
+    # JSON's true and false load as bools, which Python counts as integers
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     if tp is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value}")
     return tp(value)
@@ -191,9 +202,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_durably(path, [json.dumps(cfg.to_dict(), indent=2, sort_keys=True), "\n"])
 
 
 def config_id(alpha: float, shots: int) -> str:
@@ -351,12 +360,16 @@ def _record_sort_key(rec: RunRecord) -> tuple:
 
 
 def load_records(path: str) -> list[RunRecord]:
+    """The records of a records.jsonl file. A line that is not one record's
+    JSON object raises ValueError naming the file and the line number."""
     records = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(RunRecord.from_dict(json.loads(line)))
+        for number, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    records.append(RunRecord.from_dict(json.loads(line)))
+                except (ValueError, TypeError) as exc:
+                    raise ValueError(f"{path}, line {number}: not a run record: {exc}") from exc
     return records
 
 
@@ -364,55 +377,64 @@ def _drop_torn_tail(path: str) -> None:
     """Truncate a JSON Lines file back to its last newline.
 
     A crash mid-write can leave an incomplete last line; cutting it lets the
-    resumed run append its lines on a clean line. Complete lines are kept,
-    so a record that fails to parse still raises in load_records.
+    rerun append its lines on a clean line. Complete lines are kept, so a
+    record that fails to parse still raises in load_records.
     """
     with open(path, "rb+") as fh:
         data = fh.read()
         fh.truncate(data.rfind(b"\n") + 1)
 
 
-def _rewrite_canonical(records: list[RunRecord], path: str) -> None:
+def _write_durably(path: str, chunks) -> None:
+    """Replace ``path`` by the text ``chunks`` through a synced temp file, so a
+    crash leaves either the old file or the whole new one."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for rec in sorted(records, key=_record_sort_key):
-            fh.write(rec.to_json_line())
+        fh.writelines(chunks)
         # on disk before the rename replaces the only copy, lest a power loss empty it
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_dir: str, workers: int = 1, resume: bool = False
-) -> list[RunRecord]:
-    """Run the full (alpha, shots) grid and persist records under out_dir.
+def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[RunRecord]:
+    """Complete the (alpha, shots) grid of ``cfg`` in out_dir and return its
+    records in canonical order.
 
-    Runs execute concurrently over ``workers`` (at least 1) processes; the
-    final records file is identical for any worker count. With ``resume``,
-    runs already in the records file are skipped and only missing ones are
-    computed; a config that parses to another experiment than the snapshot
-    in out_dir raises ValueError before any file is touched, and so does a
-    worker count below 1. The run context is prepared once, here, and
-    only when a run is pending; a context that cannot be prepared raises
-    before the snapshot, the records or the timings are written.
+    Runs already in out_dir's records file are kept and only the missing ones
+    are computed, over ``workers`` (at least 1) processes, so a stopped sweep
+    is finished by running it again; the final records file is identical for
+    any worker count and any number of stops. A worker count below 1, a
+    config that parses to another experiment than out_dir's config.json
+    snapshot, and a records file without a snapshot raise ValueError before
+    any file is touched. The snapshot is written only where there is none.
+    The run context is prepared once, here, and only when a run is pending;
+    a context that cannot be prepared raises before the snapshot is written
+    and before a record or a timing is appended.
     """
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
     snapshot_path = os.path.join(out_dir, CONFIG_SNAPSHOT_FILENAME)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if resume and os.path.exists(snapshot_path) and load_config(snapshot_path) != cfg:
+    has_snapshot = os.path.exists(snapshot_path)
+    if has_snapshot and load_config(snapshot_path) != cfg:
         raise ValueError(
-            f"cannot resume in {out_dir}: the config differs from its snapshot "
-            f"{CONFIG_SNAPSHOT_FILENAME}; rerun without --resume or use a new directory"
+            f"{out_dir} holds another experiment: the config differs from its snapshot "
+            f"{CONFIG_SNAPSHOT_FILENAME}; use a new directory"
+        )
+    has_records = os.path.exists(records_path)
+    if has_records and not has_snapshot:
+        raise ValueError(
+            f"{out_dir} holds records without a {CONFIG_SNAPSHOT_FILENAME} snapshot of "
+            "their experiment; use a new directory"
         )
 
-    existing: list[RunRecord] = []
-    if resume and os.path.exists(records_path):
-        _drop_torn_tail(records_path)
-        existing = load_records(records_path)
-    done = {(r.config_id, r.run_index) for r in existing}
+    for path in (records_path, timings_path):
+        if os.path.exists(path):
+            _drop_torn_tail(path)
+    records = load_records(records_path) if has_records else []
+    done = {(r.config_id, r.run_index) for r in records}
     tasks = [
         (alpha, shots, run_index)
         for alpha, shots, cid in _cells(cfg)
@@ -422,15 +444,11 @@ def run_experiment(
     ctx = prepare_context(cfg) if tasks else None
 
     os.makedirs(out_dir, exist_ok=True)
-    save_config(cfg, snapshot_path)
-    if not resume and os.path.exists(records_path):
-        os.remove(records_path)
-    if resume and os.path.exists(timings_path):
-        _drop_torn_tail(timings_path)
+    if not has_snapshot:
+        save_config(cfg, snapshot_path)
 
-    records = list(existing)
     with open(records_path, "a", encoding="utf-8") as rec_fh, open(
-        timings_path, "a" if resume else "w", encoding="utf-8"
+        timings_path, "a", encoding="utf-8"
     ) as time_fh:
 
         def sink(rec: RunRecord) -> None:
@@ -465,8 +483,9 @@ def run_experiment(
             for task in tasks:
                 sink(run_single(ctx, *task))
 
-    _rewrite_canonical(records, records_path)
-    return sorted(records, key=_record_sort_key)
+    records.sort(key=_record_sort_key)
+    _write_durably(records_path, (rec.to_json_line() for rec in records))
+    return records
 
 
 def analyze(

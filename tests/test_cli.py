@@ -36,13 +36,13 @@ class TestRun:
         before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
         reseeded = experiment_dir / "reseeded.json"
         save_config(tiny_config(master_seed=123456), str(reseeded))
-        argv = ["run", "--out", str(out), "--resume", "--config"]
+        argv = ["run", "--out", str(out), "--config"]
         assert main(argv + [str(reseeded)]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "snapshot" in err["detail"]
         assert {name: (out / name).read_bytes() for name in before} == before
 
-        # the unchanged config still resumes
+        # the unchanged config still reruns, and computes nothing
         assert main(argv + [str(experiment_dir / "cfg.json")]) == 0
         assert {name: (out / name).read_bytes() for name in before} == before
 

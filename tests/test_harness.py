@@ -335,6 +335,18 @@ class TestConfig:
         [
             (None, "optimizer", 5, "optimizer must be a JSON object"),
             ("qubo", "value_range", [1.0], "value_range needs 2 values, got 1"),
+            # A string or an object is no list, a string no number and JSON's
+            # true and false no integers, though Python would convert each.
+            (None, "shots_grid", "5", "shots_grid must be a JSON array"),
+            (None, "alphas", "1", "alphas must be a JSON array"),
+            (None, "alphas", {"0.5": 1}, "alphas must be a JSON array"),
+            ("qubo", "value_range", "12", "value_range must be a JSON array"),
+            ("initial_params", "values", "0.1", "values must be a JSON array"),
+            (None, "runs_per_config", True, "runs_per_config must be a number"),
+            ("ansatz", "reps", False, "reps must be a number"),
+            (None, "p_threshold", "0.5", "p_threshold must be a number"),
+            (None, "shots_grid", [20, True], "shots_grid must be a number"),
+            ("qubo", "path", 5, "path must be a string"),
         ],
     )
     def test_rejects_a_value_of_the_wrong_shape(self, section, key, value, message):
@@ -529,7 +541,8 @@ class TestRunExperiment:
         keys = [(r.alpha, r.shots, r.run_index) for r in on_disk]
         assert keys == sorted(keys)
 
-    def test_resume_recomputes_only_missing_runs(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resume_recomputes_only_missing_runs(self, tmp_path, workers):
         out = tmp_path / "out"
         run_experiment(tiny_config(), str(out))
         records_path = out / "records.jsonl"
@@ -537,7 +550,7 @@ class TestRunExperiment:
 
         lines = records_path.read_text().splitlines(keepends=True)
         records_path.write_text("".join(lines[::2]))  # drop every other record
-        run_experiment(tiny_config(), str(out), resume=True)
+        run_experiment(tiny_config(), str(out), workers=workers)
         assert records_path.read_bytes() == full
 
     def test_canonical_rewrite_is_synced_before_it_replaces_the_records(
@@ -545,8 +558,9 @@ class TestRunExperiment:
     ):
         # The rename replaces the only copy of the records; a temp file whose
         # data is not yet on disk could leave an empty file after a power loss.
+        # The snapshot is written the same way: a torn one would refuse every
+        # later run in the directory.
         out = tmp_path / "out"
-        records_path = str(out / "records.jsonl")
         events = []
         real_fsync, real_replace = os.fsync, os.replace
 
@@ -555,16 +569,17 @@ class TestRunExperiment:
             real_fsync(fd)
 
         def replace_file(src, dst):
-            if dst == records_path:
-                events.append(("replace", os.stat(src).st_ino, os.stat(src).st_size))
+            events.append(("replace", dst, os.stat(src).st_ino, os.stat(src).st_size))
             real_replace(src, dst)
 
         monkeypatch.setattr(harness.os, "fsync", fsync)
         monkeypatch.setattr(harness.os, "replace", replace_file)
         run_experiment(tiny_config(), str(out))
-        size = os.path.getsize(records_path)
-        assert [event[0] for event in events] == ["fsync", "replace"]
-        assert events[0][1:] == events[1][1:] == (os.stat(records_path).st_ino, size)
+        expected = []
+        for path in (str(out / "config.json"), str(out / "records.jsonl")):
+            ino, size = os.stat(path).st_ino, os.path.getsize(path)
+            expected += [("fsync", ino, size), ("replace", path, ino, size)]
+        assert events == expected
 
     def test_resume_after_torn_last_line(self, tmp_path):
         out = tmp_path / "out"
@@ -573,7 +588,7 @@ class TestRunExperiment:
         full = records_path.read_bytes()
 
         records_path.write_bytes(full[:-30])  # a crash mid-write tears the last record
-        run_experiment(tiny_config(), str(out), resume=True)
+        run_experiment(tiny_config(), str(out))
         assert records_path.read_bytes() == full
 
     def test_resume_after_torn_timings_line(self, tmp_path):
@@ -584,7 +599,7 @@ class TestRunExperiment:
         # timing lines are not flushed per run, so a crash can tear one too
         timings = timings_path.read_text().splitlines(keepends=True)
         timings_path.write_text("".join(timings[:5]) + timings[5][:20])
-        run_experiment(tiny_config(), str(out), resume=True)
+        run_experiment(tiny_config(), str(out))
         lines = timings_path.read_text().splitlines()
         assert len(lines) == 12
         assert all("wall_time" in json.loads(line) for line in lines)
@@ -611,7 +626,7 @@ class TestRunExperiment:
         assert len(written) < 12
         assert all(line.endswith("\n") and json.loads(line)["n_calls"] for line in written)
 
-        run_experiment(tiny_config(), str(out), workers=2, resume=True)
+        run_experiment(tiny_config(), str(out), workers=2)
         run_experiment(tiny_config(), str(tmp_path / "serial"))
         assert (out / "records.jsonl").read_bytes() == (
             tmp_path / "serial" / "records.jsonl"
@@ -624,8 +639,8 @@ class TestRunExperiment:
         lines = records_path.read_text().splitlines(keepends=True)
         lines[3] = lines[3][:20] + "\n"
         records_path.write_text("".join(lines))
-        with pytest.raises(json.JSONDecodeError):
-            run_experiment(tiny_config(), str(out), resume=True)
+        with pytest.raises(ValueError, match="records.jsonl, line 4: not a run record"):
+            run_experiment(tiny_config(), str(out))
 
     @pytest.mark.parametrize(
         "change", [{"master_seed": 100}, {"shots_grid": [20, 60]}, {"runs_per_config": 4}]
@@ -635,11 +650,24 @@ class TestRunExperiment:
         run_experiment(tiny_config(), str(out))
         before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
         with pytest.raises(ValueError, match="snapshot"):
-            run_experiment(tiny_config(**change), str(out), resume=True)
+            run_experiment(tiny_config(**change), str(out))
         assert {name: (out / name).read_bytes() for name in before} == before
 
+    def test_refuses_records_without_a_snapshot_and_keeps_every_byte(self, tmp_path):
+        # Nothing tells whose runs these are, so none may be kept under the
+        # new config, and none deleted.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        (out / "config.json").unlink()
+        records_path = out / "records.jsonl"
+        records_path.write_text("".join(records_path.read_text().splitlines(keepends=True)[:2]))
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        with pytest.raises(ValueError, match="records without a config.json snapshot"):
+            run_experiment(tiny_config(master_seed=100), str(out))
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
     def test_resume_accepts_the_same_config_written_another_way(self, tmp_path):
-        # --resume compares what the configs mean, not how they are written.
+        # A rerun compares what the configs mean, not how they are written.
         out = tmp_path / "out"
         run_experiment(tiny_config(), str(out))
         before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}
@@ -650,7 +678,7 @@ class TestRunExperiment:
         doc["optimizer"]["n_max"] = 20.0
         copy = tmp_path / "copy.json"
         copy.write_text(json.dumps(dict(reversed(doc.items()))))
-        run_experiment(load_config(str(copy)), str(out), resume=True)
+        run_experiment(load_config(str(copy)), str(out))
         assert {name: (out / name).read_bytes() for name in before} == before
 
     @pytest.mark.parametrize("workers", [0, -1])
@@ -659,12 +687,6 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="workers"):
             run_experiment(tiny_config(), str(out), workers=workers)
         assert not out.exists()
-
-    def test_fresh_rerun_resets_timings(self, tmp_path):
-        out = tmp_path / "out"
-        run_experiment(tiny_config(), str(out))
-        run_experiment(tiny_config(), str(out))
-        assert len((out / "timings.jsonl").read_text().splitlines()) == 12
 
     def test_worker_count_does_not_change_bytes(self, tmp_path):
         a, b = tmp_path / "w1", tmp_path / "w2"
@@ -702,17 +724,19 @@ class TestRunExperiment:
         full = records_path.read_bytes()
 
         records_path.write_text("".join(records_path.read_text().splitlines(keepends=True)[1:]))
-        run_experiment(tiny_config(), str(out), workers=4, resume=True)
+        run_experiment(tiny_config(), str(out), workers=4)
         assert len(asked) == 1
         assert records_path.read_bytes() == full
 
-    def test_finished_resume_prepares_no_context(self, tmp_path, monkeypatch):
+    def test_finished_rerun_computes_nothing_and_keeps_every_byte(self, tmp_path, monkeypatch):
         # With every run on disk there is nothing to price, so the QUBO, its
-        # cost table and its minimum are not built.
+        # cost table and its minimum are not built, no timing is appended and
+        # the snapshot is not rewritten.
         out = tmp_path / "out"
         run_experiment(tiny_config(), str(out))
-        records_path = out / "records.jsonl"
-        full = records_path.read_bytes()
+        names = ("records.jsonl", "timings.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        assert len(before["timings.jsonl"].splitlines()) == 12
         prepared = []
 
         def counted(cfg):
@@ -721,10 +745,10 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "prepare_context", counted)
         for workers in (1, 4):
-            records = run_experiment(tiny_config(), str(out), workers=workers, resume=True)
+            records = run_experiment(tiny_config(), str(out), workers=workers)
             assert len(records) == 2 * 2 * 3
         assert prepared == []
-        assert records_path.read_bytes() == full
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     def test_unpreparable_context_fails_before_any_file_at_two_workers(self, tmp_path):
         # The parent prepares the one context the workers share, so the
@@ -1036,3 +1060,23 @@ class TestRecordSerialization:
         )
         parsed = RunRecord.from_dict(json.loads(rec.to_json_line()))
         assert parsed.error == rec.error and parsed.n_calls is None
+
+    @pytest.mark.parametrize(
+        "second, cause",
+        [
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50",\n', "Expecting"),  # torn
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","run_index":1,"sede":5,"shots":50}\n',
+             "unexpected keyword argument 'sede'"),
+            ("[1, 2]\n", "argument after \\*\\* must be a mapping"),
+        ],
+    )
+    def test_load_records_names_the_line_that_is_not_a_record(self, tmp_path, second, cause):
+        # Every rerun reads the records file, so its error must say where to look.
+        rec = RunRecord(
+            config_id="alpha=1_shots=50", alpha=1.0, shots=50, run_index=0,
+            seed=123, n_calls=17, p_min=0.625, best_cost=-4.5,
+        )
+        path = tmp_path / "records.jsonl"
+        path.write_text(rec.to_json_line() + second + rec.to_json_line())
+        with pytest.raises(ValueError, match=f"records.jsonl, line 2: not a run record: .*{cause}"):
+            load_records(str(path))
