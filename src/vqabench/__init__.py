@@ -8,7 +8,7 @@ with confidence intervals and a threshold-based selection verdict.
 
 from .circuit import AnsatzSpec, build_statevector, exact_p_min, exact_probabilities, sample_bitstrings
 from .cost import cost_estimate, cvar
-from .harness import ExperimentConfig, RunRecord, analyze, load_config, run_experiment
+from .harness import ExperimentConfig, RunRecord, analyze, load_config, load_qubo, run_experiment, save_qubo
 from .metrics import (
     Estimate,
     MetricsReport,
@@ -26,7 +26,7 @@ from .metrics import (
     select,
 )
 from .optimizer import OptimizationResult, OptimizerSettings, minimize
-from .qubo import QuboInstance, brute_force_minimum, evaluate, load_qubo, random_qubo, save_qubo
+from .qubo import QuboInstance, brute_force_minimum, evaluate, random_qubo
 
 __version__ = "0.1.0"
 

@@ -52,8 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     records = run_experiment(cfg, args.out, workers=args.workers)
+    n_computed = sum(1 for r in records if r.wall_time is not None)
     n_failed = sum(1 for r in records if r.error is not None)
-    print(f"{len(records)} records written to {args.out} ({n_failed} failed)")
+    print(f"{args.out}: {len(records) - n_computed} runs kept, {n_computed} computed, "
+          f"{n_failed} failed")
     return 0
 
 
@@ -78,10 +80,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except Exception as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-            file=sys.stderr,
-        )
+        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}), file=sys.stderr)
         return 2
 
 

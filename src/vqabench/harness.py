@@ -1,4 +1,4 @@
-"""Experiment orchestration: seeded run grids, durable records, analysis tables.
+"""Experiment orchestration and file formats: run grids, records, instance files, tables.
 
 An experiment sweeps a (CVaR alpha, shots) grid, running ``runs_per_config``
 independent optimizations per cell against one QUBO instance. Every run is
@@ -30,6 +30,7 @@ import os
 import time
 from collections import Counter
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from functools import cache
 from itertools import product
 from typing import get_args, get_origin, get_type_hints
 
@@ -51,7 +52,7 @@ from .metrics import (
     quality_level_curve,
 )
 from .optimizer import OptimizerSettings, minimize
-from .qubo import all_costs, brute_force_minimum, check_enumerable, load_qubo, random_qubo
+from .qubo import QuboInstance, all_costs, brute_force_minimum, check_enumerable, random_qubo
 
 RECORDS_FILENAME = "records.jsonl"
 TIMINGS_FILENAME = "timings.jsonl"
@@ -149,9 +150,17 @@ class ExperimentConfig:
         return asdict(self, dict_factory=_json_object)
 
 
+@cache
+def _keys(tp) -> tuple[dict, set[str]]:
+    """A dataclass's init fields' types by name, and the names without a default."""
+    init = [f for f in fields(tp) if f.init]
+    types = get_type_hints(tp)
+    return {f.name: types[f.name] for f in init}, {f.name for f in init if f.default is MISSING}
+
+
 def _read(tp, value, key: str):
     """JSON ``value`` read as type ``tp``, named ``key`` in errors. A dataclass
-    reads from an object keyed by its fields, missing ones taking their
+    reads from an object keyed by its init fields, missing ones taking their
     defaults, and every value is coerced to its field's type. An unknown key,
     a missing required one, a non-integral integer and a value of the wrong
     JSON type (a list or tuple takes an array, a string field a string and a
@@ -159,13 +168,11 @@ def _read(tp, value, key: str):
     if is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValueError(f"{key} must be a JSON object")
-        known = {f.name: f for f in fields(tp)}
-        for name in sorted(value.keys() - known.keys()):
+        types, required = _keys(tp)
+        for name in sorted(value.keys() - types.keys()):
             raise ValueError(f"unknown key {name!r} in {key}")
-        for name, f in known.items():
-            if name not in value and f.default is MISSING:
-                raise ValueError(f"{key} needs the key {name!r}")
-        types = get_type_hints(tp)
+        for name in sorted(required.difference(value)):
+            raise ValueError(f"{key} needs the key {name!r}")
         return tp(**{name: _read(types[name], v, name) for name, v in value.items()})
     args = get_args(tp)
     if type(None) in args:  # X | None
@@ -205,6 +212,31 @@ def save_config(cfg: ExperimentConfig, path: str) -> None:
     _write_durably(path, [json.dumps(cfg.to_dict(), indent=2, sort_keys=True), "\n"])
 
 
+@dataclass(frozen=True)
+class _QuboFile:
+    """The keys of a QUBO instance file."""
+
+    dimension: int
+    matrix: list[list[float]]
+
+
+def save_qubo(q: QuboInstance, path: str) -> None:
+    """Write an instance's full dense matrix as JSON (see load_qubo)."""
+    _write_durably(path, [json.dumps(asdict(_QuboFile(q.dimension, q.matrix.tolist()))), "\n"])
+
+
+def load_qubo(path: str) -> QuboInstance:
+    """Read an instance file, ``{"dimension": N, "matrix": [[...], ...]}``
+    with the full dense matrix. Its keys are read like a config's, and a
+    matrix that is not N x N, or that QuboInstance refuses, raises ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        doc = _read(_QuboFile, json.load(fh), "instance")
+    m = np.array(doc.matrix, dtype=np.float64)
+    if m.shape != (doc.dimension, doc.dimension):
+        raise ValueError(f"matrix shape {m.shape} does not match its dimension {doc.dimension}")
+    return QuboInstance(matrix=m)
+
+
 def config_id(alpha: float, shots: int) -> str:
     # underscore-separated so the id stays a single CSV field and shell token
     return f"alpha={alpha:g}_shots={shots}"
@@ -225,10 +257,10 @@ def run_seed(master_seed: int, cid: str, run_index: int) -> int:
 class RunRecord:
     """One run's persisted result; ``error`` is set instead of the outcome on failure.
 
-    The fields are the keys of a records.jsonl line, unset (None) ones left
-    out. ``wall_time`` is kept in memory and in the timings sidecar only,
-    never in the canonical records file, which must be byte-identical across
-    reruns.
+    The constructor's fields are the keys of a records.jsonl line, unset
+    (None) ones left out. ``wall_time`` is set by run_single and kept in
+    memory and in the timings sidecar only, never in the canonical records
+    file, which must be byte-identical across reruns.
     """
 
     config_id: str
@@ -240,7 +272,7 @@ class RunRecord:
     p_min: float | None = None
     best_cost: float | None = None
     error: str | None = None
-    wall_time: float | None = field(default=None, compare=False)
+    wall_time: float | None = field(default=None, compare=False, init=False)
 
     def to_dict(self) -> dict:
         doc = asdict(self, dict_factory=_json_object)
@@ -249,7 +281,7 @@ class RunRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        return RunRecord(**doc)
+        return _read(RunRecord, doc, "record")
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -360,15 +392,16 @@ def _record_sort_key(rec: RunRecord) -> tuple:
 
 
 def load_records(path: str) -> list[RunRecord]:
-    """The records of a records.jsonl file. A line that is not one record's
-    JSON object raises ValueError naming the file and the line number."""
+    """The records of a records.jsonl file, each line read like a config. A
+    line that is not one record's JSON object, each field of its type, raises
+    ValueError naming the file and the line number."""
     records = []
     with open(path, encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
             if line.strip():
                 try:
                     records.append(RunRecord.from_dict(json.loads(line)))
-                except (ValueError, TypeError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"{path}, line {number}: not a run record: {exc}") from exc
     return records
 
@@ -399,7 +432,8 @@ def _write_durably(path: str, chunks) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> list[RunRecord]:
     """Complete the (alpha, shots) grid of ``cfg`` in out_dir and return its
-    records in canonical order.
+    records in canonical order: those computed by this call carry their
+    ``wall_time``, those kept from out_dir have None.
 
     Runs already in out_dir's records file are kept and only the missing ones
     are computed, over ``workers`` (at least 1) processes, so a stopped sweep
@@ -408,9 +442,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
     config that parses to another experiment than out_dir's config.json
     snapshot, and a records file without a snapshot raise ValueError before
     any file is touched. The snapshot is written only where there is none.
-    The run context is prepared once, here, and only when a run is pending;
-    a context that cannot be prepared raises before the snapshot is written
-    and before a record or a timing is appended.
+    The run context is prepared once, here, and only when a run is pending.
+    A records line that is not a run record and a context that cannot be
+    prepared raise before the snapshot is written and before a record or a
+    timing is appended.
     """
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
@@ -447,25 +482,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
     if not has_snapshot:
         save_config(cfg, snapshot_path)
 
-    with open(records_path, "a", encoding="utf-8") as rec_fh, open(
-        timings_path, "a", encoding="utf-8"
-    ) as time_fh:
+    with open(records_path, "a", encoding="utf-8") as rec_fh, \
+            open(timings_path, "a", encoding="utf-8") as time_fh:
 
         def sink(rec: RunRecord) -> None:
             records.append(rec)
             rec_fh.write(rec.to_json_line())
             rec_fh.flush()
-            time_fh.write(
-                json.dumps(
-                    {
-                        "config_id": rec.config_id,
-                        "run_index": rec.run_index,
-                        "wall_time": rec.wall_time,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            timing = {"config_id": rec.config_id, "run_index": rec.run_index,
+                      "wall_time": rec.wall_time}
+            time_fh.write(json.dumps(timing, sort_keys=True) + "\n")
 
         # Forked pools start every worker at the first submit: ask for no
         # more than there are runs.
@@ -473,9 +499,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor, as_completed
 
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init, initargs=(ctx,)
-            ) as pool:
+            with ProcessPoolExecutor(workers, initializer=_worker_init, initargs=(ctx,)) as pool:
                 futures = [pool.submit(_worker_run, task) for task in tasks]
                 for fut in as_completed(futures):
                     sink(fut.result())

@@ -6,12 +6,13 @@ double sum). Bitstrings are tuples of 0/1 ints where bit i is variable x_i,
 and map to integer basis indices via ``index = sum(x_i * 2**i)`` (bit 0 is the
 least significant bit). The same convention is used by the circuit simulator.
 The set of global minimizers is a boolean mask over those indices, which the
-simulator reads as it is.
+simulator reads as it is. This module holds only the math: instance files are
+read and written by ``harness.load_qubo`` and ``harness.save_qubo``, with the
+program's other file formats.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ BitString = tuple[int, ...]
 #: (~16M of either).
 MAX_QUBITS = 24
 
-#: Loading rejects matrices with max |Q[i,j] - Q[j,i]| above this.
+#: QuboInstance rejects matrices with max |Q[i,j] - Q[j,i]| above this.
 SYMMETRY_TOLERANCE = 1e-12
 
 
@@ -148,28 +149,4 @@ def random_qubo(
     m = np.zeros((dimension, dimension), dtype=np.float64)
     m[iu] = rng.uniform(lo, hi, size=len(iu[0]))
     m.T[iu] = m[iu]
-    return QuboInstance(matrix=m)
-
-
-def save_qubo(q: QuboInstance, path: str) -> None:
-    """Write an instance to JSON (full dense matrix; see load_qubo)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"dimension": q.dimension, "matrix": q.matrix.tolist()}, fh)
-        fh.write("\n")
-
-
-def load_qubo(path: str) -> QuboInstance:
-    """Read an instance from JSON, rejecting asymmetric matrices.
-
-    Expected schema: ``{"dimension": N, "matrix": [[...], ...]}``; other keys
-    are ignored. The full dense matrix is stored rather than a triangle so
-    files round-trip unambiguously.
-    """
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    m = np.array(doc["matrix"], dtype=np.float64)
-    if m.shape != (doc["dimension"], doc["dimension"]):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match declared dimension {doc['dimension']}"
-        )
     return QuboInstance(matrix=m)

@@ -31,6 +31,20 @@ class TestRun:
         records = (experiment_dir / "out" / "records.jsonl").read_text().splitlines()
         assert len(records) == 12
 
+    def test_reports_the_runs_kept_and_computed(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        save_config(tiny_config(), str(cfg_path))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{out}: 0 runs kept, 12 computed, 0 failed\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{out}: 12 runs kept, 0 computed, 0 failed\n"
+        records = out / "records.jsonl"
+        records.write_text("".join(records.read_text().splitlines(keepends=True)[:5]))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{out}: 5 runs kept, 7 computed, 0 failed\n"
+
     def test_resume_with_changed_master_seed_fails_and_keeps_files(self, experiment_dir, capsys):
         out = experiment_dir / "out"
         before = {name: (out / name).read_bytes() for name in ("records.jsonl", "config.json")}

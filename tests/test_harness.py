@@ -32,6 +32,7 @@ from vqabench.harness import (
     run_seed,
     run_single,
     save_config,
+    save_qubo,
 )
 from vqabench.metrics import ESTIMATES, SelectionThresholds, Verdict
 from vqabench.optimizer import OptimizerSettings
@@ -41,7 +42,6 @@ from vqabench.qubo import (
     all_costs,
     brute_force_minimum,
     random_qubo,
-    save_qubo,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -642,6 +642,24 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="records.jsonl, line 4: not a run record"):
             run_experiment(tiny_config(), str(out))
 
+    def test_rerun_refuses_a_mistyped_record_and_keeps_every_byte(self, tmp_path):
+        # A string run_index matches no (config_id, run_index) pair, so a
+        # rerun that took it would compute that run again and append it twice.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        lines = records_path.read_text().splitlines(keepends=True)
+        assert '"run_index":1,' in lines[1]
+        lines[1] = lines[1].replace('"run_index":1,', '"run_index":"1",')
+        records_path.write_text("".join(lines))
+        names = ("records.jsonl", "timings.jsonl")
+        before = {name: (out / name).read_bytes() for name in names}
+        for _ in range(2):
+            with pytest.raises(ValueError, match="records.jsonl, line 2: not a run record: "
+                                                 "run_index must be a number, got '1'"):
+                run_experiment(tiny_config(), str(out))
+            assert {name: (out / name).read_bytes() for name in names} == before
+
     @pytest.mark.parametrize(
         "change", [{"master_seed": 100}, {"shots_grid": [20, 60]}, {"runs_per_config": 4}]
     )
@@ -1066,8 +1084,23 @@ class TestRecordSerialization:
         [
             ('{"alpha":1.0,"config_id":"alpha=1_shots=50",\n', "Expecting"),  # torn
             ('{"alpha":1.0,"config_id":"alpha=1_shots=50","run_index":1,"sede":5,"shots":50}\n',
-             "unexpected keyword argument 'sede'"),
-            ("[1, 2]\n", "argument after \\*\\* must be a mapping"),
+             "unknown key 'sede' in record"),
+            ("[1, 2]\n", "record must be a JSON object"),
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","run_index":1,"shots":50}\n',
+             "record needs the key 'seed'"),
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","run_index":"1","seed":5,"shots":50}\n',
+             "run_index must be a number, got '1'"),
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","run_index":1,"seed":"12","shots":50}\n',
+             "seed must be a number, got '12'"),
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","p_min":"0.5","run_index":1,"seed":5,'
+             '"shots":50}\n', "p_min must be a number, got '0.5'"),
+            ('{"alpha":"0.5","config_id":"alpha=1_shots=50","run_index":1,"seed":5,"shots":50}\n',
+             "alpha must be a number, got '0.5'"),
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","n_calls":true,"run_index":1,"seed":5,'
+             '"shots":50}\n', "n_calls must be a number, got True"),
+            # the timings sidecar's key, never a record's
+            ('{"alpha":1.0,"config_id":"alpha=1_shots=50","run_index":1,"seed":5,"shots":50,'
+             '"wall_time":0.1}\n', "unknown key 'wall_time' in record"),
         ],
     )
     def test_load_records_names_the_line_that_is_not_a_record(self, tmp_path, second, cause):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqabench import qubo
+from vqabench.harness import load_qubo, save_qubo
 from vqabench.qubo import (
     MAX_QUBITS,
     QuboInstance,
@@ -18,9 +20,7 @@ from vqabench.qubo import (
     brute_force_minimum,
     evaluate,
     index_to_bits,
-    load_qubo,
     random_qubo,
-    save_qubo,
 )
 
 
@@ -203,6 +203,30 @@ class TestFileFormat:
         assert np.array_equal(loaded.matrix, q.matrix)
         # The config's qubo object, not the file, records how it was drawn.
         assert json.loads(path.read_text()).keys() == {"dimension", "matrix"}
+
+    def test_save_writes_pinned_bytes(self, tmp_path):
+        path = tmp_path / "q.json"
+        save_qubo(make_qubo([[1.0, -0.5], [-0.5, 2.0]]), str(path))
+        assert path.read_bytes() == b'{"dimension": 2, "matrix": [[1.0, -0.5], [-0.5, 2.0]]}\n'
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"dimension": 2, "matrix": [["0", "1"], ["1", "0"]]}', "matrix must be a number"),
+            ('{"dimension": true, "matrix": [[0.0]]}', "dimension must be a number, got True"),
+            ('{"dimension": 1.5, "matrix": [[0.0]]}', "dimension must be an integer, got 1.5"),
+            ('{"dimension": 1, "matrix": [[0.0]], "dimesnion": 1}',
+             "unknown key 'dimesnion' in instance"),
+            ('{"matrix": [[0.0]]}', "instance needs the key 'dimension'"),
+            ('{"dimension": 1, "matrix": [0.0]}', "matrix must be a JSON array, got 0.0"),
+            ("[[0.0]]", "instance must be a JSON object"),
+        ],
+    )
+    def test_keys_read_with_their_types(self, tmp_path, text, named):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            load_qubo(str(path))
 
     def test_asymmetric_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
