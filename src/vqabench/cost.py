@@ -67,26 +67,48 @@ def cost_estimate(
 ) -> float:
     """One objective evaluation: build, sample, price, CVaR.
 
-    Builds the ansatz state for ``params``, samples ``shots`` bitstrings,
-    prices each by lookup in ``cost_table`` (the 2^N ``float64`` QUBO costs
-    by basis index from qubo.all_costs; any other table is refused before the
-    build), and returns their CVaR_alpha. One invocation corresponds to one
-    quantum circuit evaluated when counting optimizer calls.
-
-    The state is built in this thread's ``state_buffers`` and the sampler
-    keeps its CDF and guide table in the same thread's working memory, so a
-    warm call allocates only chunk-sized temporaries and, from 0.4 * 2^N shots
-    up, the guide table's counts. The draws go into one reused 8 B entry per
-    shot and are priced over themselves by one ``take``: it reads each index
-    before it writes that entry, so the same memory, viewed as ``float64``,
-    then holds their costs, which CVaR partitions in place.
+    Builds the ansatz state for ``params`` in this thread's
+    ``state_buffers`` and returns ``sampled_cvar`` of it: the CVaR_alpha of
+    ``shots`` bitstrings drawn from it and priced by lookup in
+    ``cost_table``, which is checked before the build. One invocation
+    corresponds to one quantum circuit evaluated when counting optimizer
+    calls.
     """
-    shape, dtype = np.shape(cost_table), getattr(cost_table, "dtype", None)
-    if dtype != np.float64 or shape != (1 << spec.n_qubits,):
-        raise ValueError(f"cost_table must be ({1 << spec.n_qubits},) float64, got {shape} {dtype}")
+    _check_table(cost_table, 1 << spec.n_qubits)
     state = build_statevector(spec, params, buffers=state_buffers(spec.n_qubits))
+    return sampled_cvar(state, cost_table, alpha, shots, rng)
+
+
+def sampled_cvar(
+    state: np.ndarray,
+    cost_table: np.ndarray,
+    alpha: float,
+    shots: int,
+    rng: np.random.Generator,
+) -> float:
+    """Sample ``shots`` bitstrings from a built state, price, CVaR.
+
+    Prices each draw by lookup in ``cost_table`` (the 2^N ``float64`` QUBO
+    costs by basis index from qubo.all_costs; any other table is refused
+    before a uniform is drawn) and returns their CVaR_alpha.
+
+    The sampler keeps its CDF and guide table in this thread's working
+    memory, so a warm call allocates only chunk-sized temporaries and, from
+    0.4 * 2^N shots up, the guide table's counts. The draws go into one
+    reused 8 B entry per shot and are priced over themselves by one
+    ``take``: it reads each index before it writes that entry, so the same
+    memory, viewed as ``float64``, then holds their costs, which CVaR
+    partitions in place.
+    """
+    _check_table(cost_table, len(state))
     draws = _reused("shots", shots, lambda: np.empty(shots, dtype=np.intp))
     sample_bitstrings(state, shots, rng, out=draws)
     # The draws index the table by construction; mode="raise" would copy out.
     costs = cost_table.take(draws, out=draws.view(np.float64), mode="clip")
     return cvar(costs, alpha, overwrite=True)
+
+
+def _check_table(cost_table: np.ndarray, size: int) -> None:
+    shape, dtype = np.shape(cost_table), getattr(cost_table, "dtype", None)
+    if dtype != np.float64 or shape != (size,):
+        raise ValueError(f"cost_table must be ({size},) float64, got {shape} {dtype}")

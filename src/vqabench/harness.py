@@ -37,7 +37,9 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .circuit import AnsatzSpec, build_statevector, exact_p_min, state_buffers
-from .cost import cost_estimate
+# cost_estimate is not called here: it is bound for the benchmark's spans,
+# which time the layers under the names this module binds.
+from .cost import cost_estimate, sampled_cvar  # noqa: F401
 from .metrics import (
     ESTIMATES,
     GRID_BINS,
@@ -258,9 +260,10 @@ class RunRecord:
     """One run's persisted result; ``error`` is set instead of the outcome on failure.
 
     The constructor's fields are the keys of a records.jsonl line, unset
-    (None) ones left out. ``wall_time`` is set by run_single and kept in
-    memory and in the timings sidecar only, never in the canonical records
-    file, which must be byte-identical across reruns.
+    (None) ones left out. ``wall_time`` is set by run_block, the run's share
+    of its block, and kept in memory and in the timings sidecar only, never
+    in the canonical records file, which must be byte-identical across
+    reruns.
     """
 
     config_id: str
@@ -341,37 +344,102 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
     )
 
 
-def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> RunRecord:
-    """Execute one seeded optimization run and package its record.
+#: Amplitudes built per lockstep step: a block advances at most
+#: BLOCK_AMPLITUDES >> N runs together (16 at N=6), and one run from N=10 up.
+BLOCK_AMPLITUDES = 1 << 10
 
-    Identical inputs produce identical records (wall_time aside): the run's
-    generator is derived only from (master_seed, config_id, run_index), and
-    the optimizer is deterministic given the objective value sequence.
+
+def block_runs(n_qubits: int) -> int:
+    """The most runs of one cell that a block advances together at N qubits."""
+    return max(1, BLOCK_AMPLITUDES >> n_qubits)
+
+
+def run_block(
+    ctx: _RunContext, alpha: float, shots: int, run_indices
+) -> list[RunRecord]:
+    """Execute seeded optimization runs of one cell in lockstep and package
+    their records, in the order of ``run_indices``.
+
+    Each run is its own ask/tell search on its own generator, derived only
+    from (master_seed, config_id, run_index). At each step the live runs'
+    points are built as one batch of states, whose row r holds the bits of
+    the single build, and each row is sampled, priced and reduced to CVaR
+    with its own run's generator, so every record equals the one of the run
+    computed alone (wall_time aside). A run whose evaluation or search step
+    raises is recorded with the error while the others go on. A run's
+    ``wall_time`` is its share of the block: each step's time split equally
+    among the runs it advanced, plus the run's own final build.
     """
+    clock = time.perf_counter()
     cid = config_id(alpha, shots)
-    rec = RunRecord(
-        config_id=cid, alpha=alpha, shots=shots, run_index=run_index,
-        seed=run_seed(ctx.master_seed, cid, run_index),
-    )
-    started = time.perf_counter()
-    try:
-        rng = np.random.default_rng(rec.seed)
+    records = [
+        RunRecord(config_id=cid, alpha=alpha, shots=shots, run_index=i,
+                  seed=run_seed(ctx.master_seed, cid, i))
+        for i in run_indices
+    ]
+    # The running runs as (record, search, generator), and the point each
+    # search asks to have evaluated next.
+    live, points = [], []
+    for rec in records:
+        rec.wall_time = 0.0
+        try:
+            search = minimize(None, ctx.initial_params, ctx.settings)
+            points.append(next(search))
+            live.append((rec, search, np.random.default_rng(rec.seed)))
+        except Exception as exc:  # a failed run is recorded, never dropped
+            rec.error = _error(exc)
+    clock = _charge(records, clock)
+    n = ctx.spec.n_qubits
+    while live:
+        advanced, asked, live, points, done = live, points, [], [], []
+        try:
+            states = build_statevector(
+                ctx.spec, np.array(asked), buffers=state_buffers(n, len(asked))
+            )
+        except Exception as exc:
+            for rec, _, _ in advanced:
+                rec.error = _error(exc)
+            states = []
+        for (rec, search, rng), state in zip(advanced, states):
+            try:
+                points.append(search.send(sampled_cvar(state, ctx.cost_table, alpha, shots, rng)))
+                live.append((rec, search, rng))
+            except StopIteration as stop:
+                done.append((rec, stop.value))
+            except Exception as exc:
+                rec.error = _error(exc)
+        clock = _charge([rec for rec, _, _ in advanced], clock)
+        for rec, result in done:
+            # The last build and its probabilities reuse the step's buffers.
+            try:
+                state = build_statevector(ctx.spec, result.final_params, buffers=state_buffers(n))
+                p_min = exact_p_min(state, ctx.is_minimal)
+                # set together, after the last call that can raise: a record
+                # holds either the whole outcome or the error
+                rec.n_calls, rec.p_min, rec.best_cost = result.n_calls, p_min, result.best_value
+            except Exception as exc:
+                rec.error = _error(exc)
+            clock = _charge([rec], clock)
+    return records
 
-        def objective(params: np.ndarray) -> float:
-            return cost_estimate(ctx.spec, params, ctx.cost_table, alpha, shots, rng)
 
-        result = minimize(objective, ctx.initial_params, ctx.settings)
-        # The last build and its probabilities reuse the objective's buffers.
-        states = state_buffers(ctx.spec.n_qubits)
-        state = build_statevector(ctx.spec, result.final_params, buffers=states)
-        p_min = exact_p_min(state, ctx.is_minimal)
-        # set together, after the last call that can raise: a record holds
-        # either the whole outcome or the error
-        rec.n_calls, rec.p_min, rec.best_cost = result.n_calls, p_min, result.best_value
-    except Exception as exc:  # a failed run is recorded, never dropped
-        rec.error = f"{type(exc).__name__}: {exc}"
-    rec.wall_time = time.perf_counter() - started
-    return rec
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _charge(records: list[RunRecord], since: float) -> float:
+    """Add the time since ``since`` to the records' wall times in equal
+    shares and return the time now."""
+    now = time.perf_counter()
+    for rec in records:
+        rec.wall_time += (now - since) / len(records)
+    return now
+
+
+def run_single(ctx: _RunContext, alpha: float, shots: int, run_index: int) -> RunRecord:
+    """Execute one seeded optimization run, a block of one, and package its
+    record. Identical inputs produce identical records (wall_time aside)."""
+    return run_block(ctx, alpha, shots, (run_index,))[0]
 
 
 _WORKER_CTX: _RunContext | None = None
@@ -382,9 +450,9 @@ def _worker_init(ctx: _RunContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _worker_run(task: tuple[float, int, int]) -> RunRecord:
+def _worker_run(task: tuple[float, int, tuple]) -> list[RunRecord]:
     assert _WORKER_CTX is not None
-    return run_single(_WORKER_CTX, *task)
+    return run_block(_WORKER_CTX, *task)
 
 
 def _record_sort_key(rec: RunRecord) -> tuple:
@@ -443,9 +511,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
     snapshot, and a records file without a snapshot raise ValueError before
     any file is touched. The snapshot is written only where there is none.
     The run context is prepared once, here, and only when a run is pending.
-    A records line that is not a run record and a context that cannot be
-    prepared raise before the snapshot is written and before a record or a
-    timing is appended.
+    A records line that is not a run record, a record of a run outside the
+    grid or listed twice, and a context that cannot be prepared raise before
+    the snapshot is written and before a record or a timing is appended.
+    Each cell's pending runs are computed in lockstep blocks (run_block) of
+    at most block_runs(N) runs, cut from the pending run indices alone.
     """
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
@@ -469,14 +539,26 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
         if os.path.exists(path):
             _drop_torn_tail(path)
     records = load_records(records_path) if has_records else []
-    done = {(r.config_id, r.run_index) for r in records}
-    tasks = [
-        (alpha, shots, run_index)
-        for alpha, shots, cid in _cells(cfg)
-        for run_index in range(cfg.runs_per_config)
-        if (cid, run_index) not in done
-    ]
-    ctx = prepare_context(cfg) if tasks else None
+    cells = {cid for _, _, cid in _cells(cfg)}
+    done: set[tuple[str, int]] = set()
+    for rec in records:
+        if rec.config_id not in cells or not 0 <= rec.run_index < cfg.runs_per_config:
+            raise ValueError(f"{records_path}: run {rec.run_index} of config "
+                             f"{rec.config_id!r} is not in the experiment grid")
+        if (rec.config_id, rec.run_index) in done:
+            raise ValueError(f"{records_path}: run {rec.run_index} of config "
+                             f"{rec.config_id!r} is listed twice")
+        done.add((rec.config_id, rec.run_index))
+    ctx, tasks = None, []
+    if len(done) < len(cells) * cfg.runs_per_config:
+        ctx = prepare_context(cfg)
+        # The missing runs go in blocks: each cell's pending run indices in
+        # order, cut every block_runs(N), whatever the worker count.
+        size = block_runs(ctx.spec.n_qubits)
+        for alpha, shots, cid in _cells(cfg):
+            indices = [i for i in range(cfg.runs_per_config) if (cid, i) not in done]
+            tasks += [(alpha, shots, tuple(indices[lo : lo + size]))
+                      for lo in range(0, len(indices), size)]
 
     os.makedirs(out_dir, exist_ok=True)
     if not has_snapshot:
@@ -485,27 +567,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
     with open(records_path, "a", encoding="utf-8") as rec_fh, \
             open(timings_path, "a", encoding="utf-8") as time_fh:
 
-        def sink(rec: RunRecord) -> None:
-            records.append(rec)
-            rec_fh.write(rec.to_json_line())
+        def sink(block: list[RunRecord]) -> None:
+            records.extend(block)
+            for rec in block:
+                rec_fh.write(rec.to_json_line())
+                timing = {"config_id": rec.config_id, "run_index": rec.run_index,
+                          "wall_time": rec.wall_time}
+                time_fh.write(json.dumps(timing, sort_keys=True) + "\n")
             rec_fh.flush()
-            timing = {"config_id": rec.config_id, "run_index": rec.run_index,
-                      "wall_time": rec.wall_time}
-            time_fh.write(json.dumps(timing, sort_keys=True) + "\n")
 
         # Forked pools start every worker at the first submit: ask for no
-        # more than there are runs.
+        # more than there are blocks.
         workers = min(workers, len(tasks))
         if workers > 1:
             from concurrent.futures import ProcessPoolExecutor, as_completed
 
+            # The largest blocks first, so the small ones fill the last gaps.
+            tasks.sort(key=lambda task: -len(task[2]))
             with ProcessPoolExecutor(workers, initializer=_worker_init, initargs=(ctx,)) as pool:
                 futures = [pool.submit(_worker_run, task) for task in tasks]
                 for fut in as_completed(futures):
                     sink(fut.result())
         else:
             for task in tasks:
-                sink(run_single(ctx, *task))
+                sink(run_block(ctx, *task))
 
     records.sort(key=_record_sort_key)
     _write_durably(records_path, (rec.to_json_line() for rec in records))

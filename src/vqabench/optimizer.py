@@ -23,6 +23,10 @@ initial simplex, so ``n_calls == len(history)`` always and never exceeds
 a comparison, which keeps the budget guarantee even for NaN-returning
 objectives. The optimizer itself is deterministic: with a deterministic
 objective, identical (initial, settings) reproduce the full history.
+
+The loop is an ask/tell generator that yields each point to evaluate and
+takes its value back, so a caller can advance many runs in lockstep;
+``minimize`` with an objective drives it one call at a time.
 """
 
 from __future__ import annotations
@@ -72,12 +76,20 @@ class OptimizationResult:
     history: list[float] = field(repr=False)
 
 
-def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> OptimizationResult:
+def minimize(objective, initial: np.ndarray, settings: OptimizerSettings):
     """Minimize a (possibly stochastic) objective over unconstrained reals.
 
     Returns the best evaluation seen, its value, the number of objective
     calls consumed, and the value of every call in order (``history[i]`` is
     call i + 1; non-finite values are stored as +inf).
+
+    With ``objective`` None the search is returned as an ask/tell generator
+    instead: it yields each point it wants evaluated (a copy the caller may
+    keep), takes the point's value back through ``send`` and returns the
+    OptimizationResult as its ``StopIteration.value``. A caller can so
+    advance many searches together; driving one with ``objective`` is the
+    same sequence of points and floating-point steps. The start point and
+    the budget are checked here, before the generator is made.
     """
     x0 = np.array(initial, dtype=np.float64)
     if x0.ndim != 1 or x0.size < 1:
@@ -90,14 +102,27 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
             f"n_max={settings.n_max} too small: building the linear model over "
             f"{k} parameters takes at least {k + 2} evaluations"
         )
+    steps = _search(x0, settings)
+    if objective is None:
+        return steps
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(objective(x))
+        except StopIteration as stop:
+            return stop.value
 
+
+def _search(x0: np.ndarray, settings: OptimizerSettings):
+    """The trust-region loop of ``minimize`` as an ask/tell generator."""
+    k = x0.size
     history: list[float] = []
     best_x = x0.copy()
     best_f = math.inf
 
-    def call(x: np.ndarray) -> float:
+    def call(x: np.ndarray):
         nonlocal best_x, best_f
-        value = float(objective(x.copy()))
+        value = float((yield x.copy()))
         if not math.isfinite(value):
             value = math.inf
         history.append(value)
@@ -110,7 +135,9 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
     verts = np.tile(x0, (k + 1, 1))
     for i in range(k):
         verts[i + 1, i] += settings.rho_beg
-    fvals = np.array([call(v) for v in verts])
+    fvals = np.empty(k + 1)
+    for i, v in enumerate(verts):
+        fvals[i] = yield from call(v)
 
     rho = settings.rho_beg
     while len(history) < settings.n_max and rho >= settings.rho_end:
@@ -157,7 +184,7 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings) -> Opt
                     continue
                 x = pole - (rho / gnorm) * g
 
-        fx = call(x)
+        fx = yield from call(x)
         if j is None:
             if fpole - fx > _ACCEPT_RATIO * predicted:
                 # Good step: replace the vertex whose span coefficient the

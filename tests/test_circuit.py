@@ -183,6 +183,42 @@ class TestBuildStatevector:
         params = np.random.default_rng(n * 10 + reps).uniform(-7, 7, spec.num_parameters)
         assert np.array_equal(build_statevector(spec, params), per_gate_statevector(spec, params))
 
+    @pytest.mark.parametrize("rows", [1, 2, 17])
+    @pytest.mark.parametrize("reps", range(4))
+    def test_batched_rows_equal_single_builds_bit_for_bit(self, reps, rows):
+        # Lockstep runs build their states as one batch; each row must hold
+        # the bits of its own single build, or the records would move.
+        rng = np.random.default_rng(10 * reps + rows)
+        for n in range(1, 11):
+            spec = AnsatzSpec(n, reps)
+            params = rng.uniform(-7, 7, (rows, spec.num_parameters))
+            singles = [build_statevector(spec, p).tobytes() for p in params]
+            fresh = build_statevector(spec, params)
+            lent = build_statevector(spec, params, buffers=state_buffers(n, rows))
+            assert fresh.shape == lent.shape == (rows, 1 << n)
+            assert [row.tobytes() for row in fresh] == singles
+            assert [row.tobytes() for row in lent] == singles
+
+    def test_batched_build_refuses_a_bad_shape_or_a_non_finite_row(self):
+        spec = AnsatzSpec(3, 1)
+        for params in (np.zeros((2, 5)), np.zeros((2, 2, 6)), np.zeros((0, 6))):
+            with pytest.raises(ValueError, match="parameters"):
+                build_statevector(spec, params)
+        params = np.zeros((3, 6))
+        params[1, 4] = math.inf
+        with pytest.raises(ValueError, match="finite"):
+            build_statevector(spec, params)
+
+    def test_state_buffers_keep_one_pair_for_every_row_count(self):
+        # A block's last build asks for fewer rows than its first, and its
+        # final builds for one state: all are views of the same pair.
+        wide = state_buffers(5, 16)
+        assert [b.shape for b in wide] == [(16, 32), (16, 32)]
+        for rows in (4, 1, None):
+            pair = state_buffers(5, rows)
+            assert all(np.shares_memory(a, b) for a, b in zip(pair, wide))
+        assert [b.shape for b in state_buffers(5)] == [(32,), (32,)]
+
     def test_entangler_map_is_cached_read_only_inverse(self):
         for n in (1, 2, 5, 6):
             src = _entangler_source(n)

@@ -7,6 +7,7 @@ import json
 import math
 import multiprocessing
 import os
+import time
 import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqabench import harness, qubo
+from vqabench import cost, harness, qubo
+from vqabench.circuit import sample_bitstrings
 from vqabench.harness import (
     AnsatzSettings,
     ExperimentConfig,
@@ -483,7 +485,7 @@ class TestRunSingle:
         def boom(*args, **kwargs):
             raise RuntimeError("sampler exploded")
 
-        monkeypatch.setattr(harness, "cost_estimate", boom)
+        monkeypatch.setattr(cost, "sample_bitstrings", boom)
         rec = run_single(ctx, 0.25, 20, run_index=0)
         assert rec.error is not None and "sampler exploded" in rec.error
         assert rec.n_calls is None
@@ -526,6 +528,134 @@ class TestRunSingle:
         rec = run_single(ctx, 0.25, 20, run_index=0)
         assert rec.wall_time is not None
         assert "wall_time" not in rec.to_dict()
+
+
+class TestRunBlock:
+    def test_runs_stopping_at_different_calls_match_their_single_runs(self):
+        # At n_max=20 and rho_end=0.05 some runs of this cell spend the
+        # budget and others stop on rho_end first, so the block's rows
+        # leave it at different steps.
+        cfg = tiny_config(
+            optimizer=OptimizerSettings(n_max=20, rho_beg=1.0, rho_end=0.05), runs_per_config=5
+        )
+        ctx = prepare_context(cfg)
+        block = harness.run_block(ctx, 1.0, 50, range(5))
+        singles = [run_single(ctx, 1.0, 50, i) for i in range(5)]
+        assert [rec.to_json_line() for rec in block] == [rec.to_json_line() for rec in singles]
+        calls = {rec.n_calls for rec in block}
+        assert 20 in calls and min(calls) < 20 and all(rec.error is None for rec in block)
+
+    def test_block_of_one_is_the_single_run(self):
+        ctx = prepare_context(tiny_config())
+        (rec,) = harness.run_block(ctx, 0.25, 50, [2])
+        assert rec.to_json_line() == run_single(ctx, 0.25, 50, 2).to_json_line()
+
+    def test_block_wall_times_share_out_the_block(self):
+        ctx = prepare_context(tiny_config())
+        started = time.perf_counter()
+        block = harness.run_block(ctx, 0.25, 20, range(3))
+        elapsed = time.perf_counter() - started
+        assert all(rec.wall_time > 0 for rec in block)
+        assert sum(rec.wall_time for rec in block) <= elapsed
+
+    def test_cells_not_divided_by_the_block_size_match_their_single_runs(self, tmp_path):
+        # Blocks advance at most 2^10 / 2^8 = 4 runs at N=8, so six runs per
+        # cell make a block of four and a block of two.
+        n = 8
+        assert harness.block_runs(n) == 4
+        cfg = tiny_config(
+            qubo=QuboSource(dimension=n, seed=5), alphas=[0.5], shots_grid=[30],
+            runs_per_config=6, optimizer=OptimizerSettings(n_max=14, rho_beg=1.0, rho_end=1e-3),
+        )
+        records = run_experiment(cfg, str(tmp_path / "out"))
+        ctx = prepare_context(cfg)
+        singles = [run_single(ctx, 0.5, 30, i) for i in range(6)]
+        assert [rec.to_json_line() for rec in records] == [rec.to_json_line() for rec in singles]
+
+    def test_a_failing_sampler_fails_its_run_alone(self, monkeypatch):
+        ctx = prepare_context(tiny_config())
+        failing = run_seed(ctx.master_seed, config_id(1.0, 20), 1)
+        singles = [run_single(ctx, 1.0, 20, i) for i in range(3)]
+
+        def sampler(state, shots, rng, out=None):
+            # a run's generator is default_rng(seed), so its seed names the run
+            if rng.bit_generator.seed_seq.entropy == failing:
+                raise RuntimeError("sampler exploded")
+            return sample_bitstrings(state, shots, rng, out=out)
+
+        monkeypatch.setattr(cost, "sample_bitstrings", sampler)
+        block = harness.run_block(ctx, 1.0, 20, range(3))
+        assert block[1].error == "RuntimeError: sampler exploded"
+        assert (block[1].n_calls, block[1].p_min, block[1].best_cost) == (None, None, None)
+        for i in (0, 2):
+            assert block[i].to_json_line() == singles[i].to_json_line()
+
+    def test_blocks_follow_from_n_and_the_pending_runs_only(self, tmp_path, monkeypatch):
+        # The same blocks, whatever the worker count: each cell's pending
+        # run indices in order, cut every block_runs(N) = 4 at N=8.
+        cfg = tiny_config(
+            qubo=QuboSource(dimension=8, seed=5), shots_grid=[30], runs_per_config=6,
+            optimizer=OptimizerSettings(n_max=10, rho_beg=1.0, rho_end=1e-3),
+        )
+        seen = []
+        run_block_ = harness.run_block
+
+        def recorded(ctx, alpha, shots, run_indices):
+            seen.append((alpha, shots, tuple(run_indices)))
+            return run_block_(ctx, alpha, shots, run_indices)
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        monkeypatch.setattr(harness, "run_block", recorded)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        blocks = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            run_experiment(cfg, str(out), workers=workers)
+            records_path = out / "records.jsonl"
+            lines = records_path.read_text().splitlines(keepends=True)
+            # runs 1 and 4 of the first cell are pending on the rerun
+            records_path.write_text("".join(lines[:1] + lines[2:4] + lines[5:]))
+            run_experiment(cfg, str(out), workers=workers)
+            blocks[workers], seen[:] = sorted(seen), []
+        cells = [(0.25, 30), (1.0, 30)]
+        assert blocks[1] == sorted(
+            [(*cell, (0, 1, 2, 3)) for cell in cells] + [(*cell, (4, 5)) for cell in cells]
+            + [(0.25, 30, (1, 4))]
+        )
+        assert blocks[2] == blocks[3] == blocks[1]
+
+    def test_warm_block_keeps_to_one_core(self):
+        # A matmul or einsum form of the batched build would wake OpenBLAS's
+        # helper threads on every step and keep a second core busy.
+        n = 8
+        cfg = tiny_config(
+            qubo=QuboSource(dimension=n, seed=4), ansatz=AnsatzSettings(reps=1),
+            alphas=[0.25], shots_grid=[1000], runs_per_config=4,
+            optimizer=OptimizerSettings(n_max=60, rho_beg=1.0, rho_end=1e-6),
+        )
+        ctx = prepare_context(cfg)
+        assert harness.block_runs(n) >= 4
+        harness.run_block(ctx, 0.25, 1000, range(4))
+        cpu, wall = time.process_time(), time.perf_counter()
+        for _ in range(5):
+            harness.run_block(ctx, 0.25, 1000, range(4))
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert cpu <= 1.2 * wall
 
 
 class TestRunExperiment:
@@ -606,19 +736,19 @@ class TestRunExperiment:
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
-        reason="the patched run_single reaches pool workers only when they are forked",
+        reason="the patched run_block reaches pool workers only when they are forked",
     )
     def test_resume_after_a_killed_worker(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
-        run_single_ = harness.run_single
+        run_block_ = harness.run_block
 
-        def dies_on_one_run(ctx, alpha, shots, run_index):
-            if (alpha, shots, run_index) == (1.0, 20, 1):
+        def dies_on_one_block(ctx, alpha, shots, run_indices):
+            if (alpha, shots) == (1.0, 20) and 1 in run_indices:
                 os._exit(1)  # as the OOM killer would, with no cleanup
-            return run_single_(ctx, alpha, shots, run_index)
+            return run_block_(ctx, alpha, shots, run_indices)
 
         with monkeypatch.context() as patch:
-            patch.setattr(harness, "run_single", dies_on_one_run)
+            patch.setattr(harness, "run_block", dies_on_one_block)
             with pytest.raises(BrokenProcessPool):
                 run_experiment(tiny_config(), str(out), workers=2)
         # the parent writes whole lines, so a dead worker leaves no torn tail
@@ -659,6 +789,38 @@ class TestRunExperiment:
                                                  "run_index must be a number, got '1'"):
                 run_experiment(tiny_config(), str(out))
             assert {name: (out / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (lambda first: first, "run 0 of config 'alpha=0.25_shots=20' is listed twice"),
+            (lambda first: first.replace("alpha=0.25_shots=20", "alpha=0.5_shots=7"),
+             "run 0 of config 'alpha=0.5_shots=7' is not in the experiment grid"),
+            (lambda first: first.replace('"run_index":0,', '"run_index":3,'),
+             "run 3 of config 'alpha=0.25_shots=20' is not in the experiment grid"),
+        ],
+        ids=["duplicate", "outside-the-grid", "past-runs_per_config"],
+    )
+    def test_rerun_refuses_a_record_of_no_pending_run_and_keeps_every_byte(
+        self, tmp_path, monkeypatch, extra, named
+    ):
+        # Such a record would be rewritten into the canonical file, and only
+        # a later analyze would refuse it.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        lines = records_path.read_text().splitlines(keepends=True)
+        assert '"run_index":0,' in lines[0] and "alpha=0.25_shots=20" in lines[0]
+        lines = lines[:6] + [extra(lines[0])]  # runs are pending, too
+        records_path.write_text("".join(lines))
+        names = ("records.jsonl", "timings.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        prepared = []
+        monkeypatch.setattr(harness, "prepare_context", prepared.append)
+        with pytest.raises(ValueError, match=named):
+            run_experiment(tiny_config(), str(out))
+        assert prepared == []
+        assert {name: (out / name).read_bytes() for name in names} == before
 
     @pytest.mark.parametrize(
         "change", [{"master_seed": 100}, {"shots_grid": [20, 60]}, {"runs_per_config": 4}]

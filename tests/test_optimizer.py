@@ -148,6 +148,40 @@ class TestDeterminism:
         b = minimize(quadratic, np.zeros(2), OptimizerSettings(200, 0.5, 1e-6))
         assert a.history == b.history
 
+    def test_ask_tell_search_is_the_driven_search(self):
+        # Lockstep runs drive the search by hand: every asked point is a copy
+        # the caller may overwrite, a NaN told back counts as +inf, and the
+        # result is the one minimize returns with the objective.
+        settings = OptimizerSettings(60, 0.5, 1e-6)
+
+        def noisy(x):
+            value = quadratic(x)
+            return math.nan if value > 2.5 else value
+
+        search = minimize(None, np.zeros(3), settings)
+        asked = []
+        point = next(search)
+        try:
+            while True:
+                asked.append(point.copy())
+                value = noisy(point)
+                point[:] = 1e9
+                point = search.send(value)
+        except StopIteration as stop:
+            told = stop.value
+        points = []
+        driven = minimize(lambda x: points.append(x.copy()) or noisy(x), np.zeros(3), settings)
+        assert [p.tobytes() for p in asked] == [p.tobytes() for p in points]
+        assert told.history == driven.history and math.inf in told.history
+        assert (told.n_calls, told.best_value) == (driven.n_calls, driven.best_value)
+        assert told.final_params.tobytes() == driven.final_params.tobytes()
+
+    def test_ask_tell_search_checks_its_start_before_it_is_made(self):
+        with pytest.raises(ValueError, match="finite"):
+            minimize(None, np.array([0.0, math.nan]), OptimizerSettings(100))
+        with pytest.raises(ValueError, match="n_max"):
+            minimize(None, np.zeros(4), OptimizerSettings(n_max=5))
+
 
 class TestValidation:
     def test_initial_must_be_finite(self):
