@@ -49,9 +49,9 @@ buffers of 8 B per amplitude and gathers through the cached map, another 8 B
 per amplitude kept for the life of the process. This module keeps each
 thread's working memory and reuses it from call to call while N stays the
 same: the state pair of ``state_buffers``, grown to the most rows a batch
-has asked for, whose buffer not holding the state being sampled takes the
-CDF, and, from 0.4 * 2^N shots up, a guide
-table of 2 * 2^N + 1 buckets at 8 B per bucket, plus an 8 B count per
+has asked for, whose buffer not holding the states being sampled takes the
+CDFs, and, from 0.4 * 2^N shots up, a guide
+table of 2 * 2^N + 1 buckets per state at 8 B per bucket, plus an 8 B count per
 bucket allocated for each call. At N = 24 the two state buffers take
 256 MiB and only from 0.4 * 2^24 shots (6.7M) up does the guide table add
 256 MiB, plus its 256 MiB of counts during a call. The map adds 128 MiB per
@@ -59,9 +59,11 @@ process, and the mask of global minimizers that ``exact_p_min`` reads, kept
 by its caller, 1 B per amplitude (16 MiB).
 
 Sampling inverts the CDF of the Born probabilities, on exactly the stream
-of ``Generator.choice``. The draws are resolved in fixed chunks, each
-filled by ``rng.random(out=)``, which continues the generator's stream as
-one ``rng.random(shots)`` would: below 0.4 * 2^N shots each chunk is
+of ``Generator.choice``. R states are sampled together: their CDFs and guide
+tables in one pass over the rows, their draws in chunks of whole rows (or
+of one row cut every ``_CHUNK`` draws), each row filled by its own
+generator's ``random(out=)``, which continues the stream as one
+``rng.random(shots)`` would: below 0.4 * 2^N shots each row is
 searched in sorted order, and from there up through the guide table, whose
 bucket indices are gathered over in place. The other temporaries (uniforms,
 CDF probes, flags) are chunk-sized, so the only shots-sized array is the
@@ -121,11 +123,13 @@ def state_buffers(
 
 
 def _scratch(state: np.ndarray) -> np.ndarray:
-    """This thread's state-sized ``float64`` buffer that shares no memory
-    with ``state``: a row of the spare one for a state built in
-    ``state_buffers``, of the pair's first one for any other state."""
-    pair = _state_pair(len(state))
-    return pair[1][0] if np.may_share_memory(state, pair[0]) else pair[0][0]
+    """This thread's ``float64`` buffer of ``state``'s shape that shares no
+    memory with ``state``: rows of the spare one for states built in
+    ``state_buffers``, of the pair's first one for any others."""
+    rows = 1 if state.ndim == 1 else len(state)
+    pair = _state_pair(state.shape[-1], rows)
+    spare = pair[1] if np.may_share_memory(state, pair[0]) else pair[0]
+    return spare[:rows].reshape(state.shape)
 
 
 @dataclass(frozen=True)
@@ -246,14 +250,16 @@ def build_statevector(
 
 def _born_probabilities(
     state: np.ndarray, out: np.ndarray | None = None
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float | np.ndarray]:
     """Born-rule probabilities, in ``out`` if given, and their total, summed
-    once for both the normalization check and the callers that rescale by it."""
+    once for both the normalization check and the callers that rescale by it:
+    for ``(R, 2^N)`` states an ``(R, 1)`` column, each row checked alone."""
     p = np.square(state, out=out)
-    total = float(np.add.reduce(p))
-    if not abs(total - 1.0) < 1e-10:  # NaN too, and not lost under ``python -O``
-        raise ValueError(f"state not normalized: sum p = {total}")
-    return p, total
+    total = np.add.reduce(p, axis=-1, keepdims=state.ndim > 1)
+    for t in np.ravel(total).tolist():
+        if not abs(t - 1.0) < 1e-10:  # NaN too, and not lost under ``python -O``
+            raise ValueError(f"state not normalized: sum p = {t}")
+    return p, total if state.ndim > 1 else float(total)
 
 
 def exact_probabilities(state: np.ndarray) -> np.ndarray:
@@ -264,77 +270,112 @@ def exact_probabilities(state: np.ndarray) -> np.ndarray:
 def sample_bitstrings(
     state: np.ndarray,
     shots: int,
-    rng: np.random.Generator,
+    rng,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw measurement outcomes from a state as an array of basis indices.
+    """Draw measurement outcomes from a state as an array of basis indices,
+    or from each row of ``(R, 2^N)`` states with ``rng`` R generators.
 
     Consumes exactly ``shots`` uniforms from ``rng.random`` and returns the
     same int64 indices as ``rng.choice(len(p), size=shots, p=p / p.sum())``
     with p the Born probabilities, leaving the generator in the same state:
-    each draw u maps to the number of CDF entries <= u. The draws are
-    resolved in chunks of ``_CHUNK``, each filled by ``rng.random(out=)``,
-    which continues the same stream, so the temporaries stay chunk-sized.
+    each draw u maps to the number of CDF entries <= u. Row r of R states
+    holds the bits of the single call on ``state[r]`` and ``rng[r]``. The
+    draws are resolved in chunks of whole rows up to ``_CHUNK`` draws, or of
+    one row cut every ``_CHUNK``, so the temporaries stay chunk-sized.
     Fewer draws than 0.4 * 2^N are searched in sorted order and scattered
     back in draw order, so each index stays at the position of its uniform;
     more go through a guide table, the faster of the two from there up at
     N = 12 to 16.
 
-    The indices go into ``out`` (a writable ``(shots,)`` ``intp`` array that a
-    caller can reuse from call to call; any other is refused before a uniform
-    is drawn), which is returned, or into a new array without it. The CDF and
-    the guide table live in this thread's working memory: the CDF in the
-    state-sized buffer of ``state_buffers`` not holding ``state``. Identical
-    (state, shots, generator state) yields identical samples; use
-    index_to_bits for the tuple form of an outcome.
+    The indices go into ``out`` (a writable ``intp`` array of the draws'
+    shape that a caller can reuse from call to call), which is returned, or
+    into a new array without it. A wrong ``out``, a generator count other
+    than R and a state that is not normalized are refused before a uniform
+    is drawn. The CDFs and the guide tables live in this thread's working
+    memory: the CDFs in the state buffer of ``state_buffers`` not holding
+    ``state``. Identical (state, shots, generator state) yields identical
+    samples; use index_to_bits for the tuple form of an outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    rows = state.reshape(-1, state.shape[-1])
+    gens = (rng,) if state.ndim == 1 else rng
+    if len(gens) != len(rows):
+        raise ValueError(f"{len(rows)} states need as many generators, got {len(gens)}")
+    shape = (*state.shape[:-1], shots)
     if out is not None and (
-        out.dtype != np.intp or out.shape != (shots,) or not out.flags.writeable
+        out.dtype != np.intp or out.shape != shape or not out.flags.writeable
     ):
-        raise ValueError(f"out must be writable ({shots},) intp, got {out.dtype} {out.shape}")
-    cdf, total = _born_probabilities(state, out=_scratch(state))
+        raise ValueError(f"out must be writable {shape} intp, got {out.dtype} {out.shape}")
+    cdf, total = _born_probabilities(rows, out=_scratch(rows))
     cdf /= total
-    cdf.cumsum(out=cdf)
-    cdf /= cdf[-1]
-    idx = np.empty(shots, dtype=np.intp) if out is None else out
-    d = len(cdf)
-    u = np.empty(min(shots, _CHUNK))
+    cdf.cumsum(axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()  # a view of itself would copy the CDFs
+    idx = np.empty(shape, dtype=np.intp) if out is None else out
+    draws = idx.reshape(len(rows), shots)
+    n_rows, d = cdf.shape
+    per, width = max(1, _CHUNK // shots), min(shots, _CHUNK)
+    u = np.empty(min(per, n_rows) * width)
     guided = 5 * shots >= 2 * d
     if guided:
-        # Guide table over k = 2 * 2^N equal buckets of [0, 1). k is a power of
-        # two, so u * k and cdf * k are exact: the CDF entries below bucket
-        # b = floor(u * k) are <= u and those past it exceed u. A draw maps to
-        # the first entry > u from ``below[b]``, the count below bucket b, on.
-        # bincount reads the keys before ``below`` is written over them.
+        # Guide table over k = 2 * 2^N equal buckets of [0, 1) per row. k is a
+        # power of two, so u * k and cdf * k are exact: the CDF entries below
+        # bucket b = floor(u * k) are <= u and those past it exceed u. A draw
+        # maps to the first entry > u from ``below[b]``, the count below bucket
+        # b, on. Row r's keys and buckets are offset by r * (k + 1) in one flat
+        # table, so its starts are offset by r * d. bincount reads the keys
+        # before ``below`` is written over them.
         k = 2 * d
-        below = _reused("guide", d, lambda: np.empty(k + 1, dtype=np.intp))
-        keys = np.multiply(cdf, k, out=below[:d], casting="unsafe")
-        np.bincount(keys, minlength=k + 1)[:k].cumsum(out=below[1:])
+        below = _reused("guide", (n_rows, d), lambda: np.empty(n_rows * (k + 1), dtype=np.intp))
+        keys = np.multiply(cdf, k, out=below[: n_rows * d].reshape(n_rows, d), casting="unsafe")
+        if n_rows > 1:
+            offsets = np.arange(n_rows).reshape(n_rows, 1)
+            key_offsets, entry_offsets = offsets * (k + 1), offsets * d
+            keys += key_offsets
+        np.bincount(below[: n_rows * d], minlength=n_rows * (k + 1))[:-1].cumsum(out=below[1:])
         below[0] = 0
+        flat = cdf.reshape(-1)
         entries, flags = np.empty(len(u)), np.empty(len(u), dtype=bool)
-    for lo in range(0, shots, _CHUNK):
-        uc = u[: min(_CHUNK, shots - lo)]
-        rng.random(out=uc)
-        chunk = idx[lo : lo + len(uc)]
-        if not guided:
-            # Sorted keys walk the CDF forward, each search starting from the
-            # last one's answer; the scatter restores draw order.
-            order = uc.argsort()
-            chunk[order] = cdf.searchsorted(uc[order], side="right")
-            continue
-        # Truncated on the cast from float64, as ``(uc * k).astype(np.intp)``
-        # would. ``take`` reads each in-range bucket index before writing its
-        # start over it; mode="raise" would copy out.
-        np.multiply(uc, k, out=chunk, casting="unsafe")
-        below.take(chunk, out=chunk, mode="clip")
-        # Step past the bucket's first entry where it is <= u, and search only
-        # the few draws whose next entry is <= u too. None passes the last, 1.0.
-        entry, flag = entries[: len(uc)], flags[: len(uc)]
-        chunk += np.less_equal(cdf.take(chunk, out=entry, mode="clip"), uc, out=flag)
-        many = np.less_equal(cdf.take(chunk, out=entry, mode="clip"), uc, out=flag).nonzero()[0]
-        chunk[many] = cdf.searchsorted(uc[many], side="right")
+    for r0 in range(0, n_rows, per):
+        t = min(per, n_rows - r0)
+        for lo in range(0, shots, width):
+            w = min(width, shots - lo)
+            uc = u[: t * w].reshape(t, w)
+            for r in range(t):
+                gens[r0 + r].random(out=uc[r])
+            chunk = draws[r0 : r0 + t, lo : lo + w]
+            if not guided:
+                # Sorted keys walk the CDF forward, each search starting from
+                # the last one's answer; the scatter restores draw order.
+                for r in range(t):
+                    order = uc[r].argsort()
+                    chunk[r][order] = cdf[r0 + r].searchsorted(uc[r][order], side="right")
+                continue
+            # Truncated on the cast from float64, as ``(uc * k).astype(np.intp)``
+            # would. ``take`` reads each in-range bucket index before writing
+            # its start over it; mode="raise" would copy out.
+            np.multiply(uc, k, out=chunk, casting="unsafe")
+            if n_rows > 1:
+                chunk += key_offsets[r0 : r0 + t]
+            below.take(chunk, out=chunk, mode="clip")
+            # Step past the bucket's first entry where it is <= u, and search
+            # only the few draws whose next entry is <= u too. None passes the
+            # last, 1.0.
+            entry, flag = entries[: t * w].reshape(t, w), flags[: t * w].reshape(t, w)
+            chunk += np.less_equal(flat.take(chunk, out=entry, mode="clip"), uc, out=flag)
+            np.less_equal(flat.take(chunk, out=entry, mode="clip"), uc, out=flag)
+            if n_rows > 1:
+                chunk -= entry_offsets[r0 : r0 + t]
+            many = flag.reshape(-1).nonzero()[0]
+            if t == 1:
+                chunk[0, many] = cdf[r0].searchsorted(uc[0, many], side="right")
+                continue
+            cut = many.searchsorted(np.arange(t + 1) * w).tolist()
+            for r in range(t):
+                if cut[r] < cut[r + 1]:
+                    at = many[cut[r] : cut[r + 1]] - r * w
+                    chunk[r, at] = cdf[r0 + r].searchsorted(uc[r, at], side="right")
     return idx
 
 

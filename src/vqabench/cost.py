@@ -13,7 +13,14 @@ import math
 
 import numpy as np
 
-from .circuit import AnsatzSpec, _reused, build_statevector, sample_bitstrings, state_buffers
+from .circuit import (
+    _CHUNK,
+    AnsatzSpec,
+    _reused,
+    build_statevector,
+    sample_bitstrings,
+    state_buffers,
+)
 
 
 def cvar_tail_count(n_samples: int, alpha: float) -> int:
@@ -28,8 +35,9 @@ def cvar_tail_count(n_samples: int, alpha: float) -> int:
     return min(max(m, 1), n_samples)
 
 
-def cvar(costs: np.ndarray, alpha: float, overwrite: bool = False) -> float:
-    """Mean of the lowest ceil(alpha*K) of K sampled costs.
+def cvar(costs: np.ndarray, alpha: float, overwrite: bool = False):
+    """Mean of the lowest ceil(alpha*K) of K sampled costs, or the list of
+    those of each row of ``(R, K)`` costs, each by its single call's steps.
 
     The tail is found by partitioning a copy of the costs, or, with
     ``overwrite``, the costs themselves when they are already a ``float64``
@@ -39,17 +47,18 @@ def cvar(costs: np.ndarray, alpha: float, overwrite: bool = False) -> float:
     values = np.asarray(costs, dtype=np.float64)
     if values.size == 0:
         raise ValueError("cannot take CVaR of an empty sample")
-    m = cvar_tail_count(values.size, alpha)
-    if m == values.size:
+    m = cvar_tail_count(values.shape[-1], alpha)
+    if m == values.shape[-1]:
         tail = values
     elif overwrite:
-        values.partition(m - 1)
-        tail = values[:m]
+        values.partition(m - 1, axis=-1)
+        tail = values[..., :m]
     else:
-        tail = np.partition(values, m - 1)[:m]
-    # ``tail.mean()`` without its dispatch: the same pairwise sum, then the
-    # same division by the count.
-    return float(np.add.reduce(tail)) / m
+        tail = np.partition(values, m - 1, axis=-1)[..., :m]
+    # ``tail.mean(axis=-1)`` without its dispatch: the same pairwise sum, then
+    # the same division by the count.
+    sums = np.add.reduce(tail, axis=-1)
+    return float(sums) / m if values.ndim == 1 else (sums / m).tolist()
 
 
 # The draws (``intp``) are priced over in place as ``float64``, so the two
@@ -84,24 +93,47 @@ def sampled_cvar(
     cost_table: np.ndarray,
     alpha: float,
     shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """Sample ``shots`` bitstrings from a built state, price, CVaR.
+    rng,
+):
+    """Sample ``shots`` bitstrings from a built state, price, CVaR; or the
+    list of that of each row of ``(R, 2^N)`` states with ``rng`` R generators.
 
     Prices each draw by lookup in ``cost_table`` (the 2^N ``float64`` QUBO
-    costs by basis index from qubo.all_costs; any other table is refused
-    before a uniform is drawn) and returns their CVaR_alpha.
+    costs by basis index from qubo.all_costs; any other table, alpha, shots
+    or generator count is refused before a uniform is drawn) and returns
+    their CVaR_alpha. Row r's value is the bits of the single call on
+    ``state[r]`` and ``rng[r]``.
 
-    The sampler keeps its CDF and guide table in this thread's working
-    memory, so a warm call allocates only chunk-sized temporaries and, from
-    0.4 * 2^N shots up, the guide table's counts. The draws go into one
-    reused 8 B entry per shot and are priced over themselves by one
-    ``take``: it reads each index before it writes that entry, so the same
-    memory, viewed as ``float64``, then holds their costs, which CVaR
-    partitions in place.
+    The rows go in tiles of whole rows up to ``_CHUNK`` draws, or of one
+    row, each one ``sample_bitstrings`` and one ``cvar`` call. The draws go
+    into one reused 8 B entry per draw of a tile and are priced over
+    themselves by one ``take``: it reads each index before it writes that
+    entry, so the same memory, viewed as ``float64``, then holds their costs,
+    which CVaR partitions in place. So a warm call allocates only chunk-sized
+    temporaries and, from 0.4 * 2^N shots up, the guide table's counts.
     """
-    _check_table(cost_table, len(state))
-    draws = _reused("shots", shots, lambda: np.empty(shots, dtype=np.intp))
+    _check_table(cost_table, state.shape[-1])
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    cvar_tail_count(shots, alpha)
+    if state.ndim == 1:
+        return _priced(state, cost_table, alpha, shots, rng)
+    if len(rng) != len(state):
+        raise ValueError(f"{len(state)} states need as many generators, got {len(rng)}")
+    per = max(1, _CHUNK // shots)
+    values = []
+    for lo in range(0, len(state), per):
+        values += _priced(state[lo : lo + per], cost_table, alpha, shots, rng[lo : lo + per])
+    return values
+
+
+def _priced(state, cost_table, alpha, shots, rng):
+    """``sampled_cvar`` of one tile: one state, or rows holding at most
+    ``max(shots, _CHUNK)`` draws."""
+    size = max(shots, _CHUNK)
+    held = _reused("shots", size, lambda: np.empty(size, dtype=np.intp))
+    shape = (*state.shape[:-1], shots)
+    draws = held[: math.prod(shape)].reshape(shape)
     sample_bitstrings(state, shots, rng, out=draws)
     # The draws index the table by construction; mode="raise" would copy out.
     costs = cost_table.take(draws, out=draws.view(np.float64), mode="clip")

@@ -37,9 +37,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .circuit import AnsatzSpec, build_statevector, exact_p_min, state_buffers
-# cost_estimate is not called here: it is bound for the benchmark's spans,
-# which time the layers under the names this module binds.
-from .cost import cost_estimate, sampled_cvar  # noqa: F401
+from .cost import cost_estimate, sampled_cvar
 from .metrics import (
     ESTIMATES,
     GRID_BINS,
@@ -363,10 +361,13 @@ def run_block(
     Each run is its own ask/tell search on its own generator, derived only
     from (master_seed, config_id, run_index). At each step the live runs'
     points are built as one batch of states, whose row r holds the bits of
-    the single build, and each row is sampled, priced and reduced to CVaR
-    with its own run's generator, so every record equals the one of the run
-    computed alone (wall_time aside). A run whose evaluation or search step
-    raises is recorded with the error while the others go on. A run's
+    the single build, and the batch and the runs' generators go to
+    ``sampled_cvar`` in one call, which samples, prices and reduces each row
+    to CVaR with its own run's generator, so every record equals the one of
+    the run computed alone (wall_time aside). When the batch raises, the
+    runs' generators go back to their states before the step and each run is
+    evaluated alone by ``cost_estimate``. A run whose evaluation or search
+    step raises is recorded with the error while the others go on. A run's
     ``wall_time`` is its share of the block: each step's time split equally
     among the runs it advanced, plus the run's own final build.
     """
@@ -377,38 +378,47 @@ def run_block(
                   seed=run_seed(ctx.master_seed, cid, i))
         for i in run_indices
     ]
-    # The running runs as (record, search, generator), and the point each
-    # search asks to have evaluated next.
-    live, points = [], []
+    # The running runs as (record, search, generator, its next point).
+    live = []
     for rec in records:
         rec.wall_time = 0.0
         try:
             search = minimize(None, ctx.initial_params, ctx.settings)
-            points.append(next(search))
-            live.append((rec, search, np.random.default_rng(rec.seed)))
+            live.append((rec, search, np.random.default_rng(rec.seed), next(search)))
         except Exception as exc:  # a failed run is recorded, never dropped
             rec.error = _error(exc)
     clock = _charge(records, clock)
     n = ctx.spec.n_qubits
     while live:
-        advanced, asked, live, points, done = live, points, [], [], []
+        stepped, live, done = live, [], []
+        gens = [rng for _, _, rng, _ in stepped]
+        held = [rng.bit_generator.state for rng in gens]
         try:
             states = build_statevector(
-                ctx.spec, np.array(asked), buffers=state_buffers(n, len(asked))
+                ctx.spec, np.array([point for *_, point in stepped]),
+                buffers=state_buffers(n, len(stepped)),
             )
-        except Exception as exc:
-            for rec, _, _ in advanced:
-                rec.error = _error(exc)
-            states = []
-        for (rec, search, rng), state in zip(advanced, states):
+            evaluated = list(zip(stepped, sampled_cvar(states, ctx.cost_table, alpha, shots, gens)))
+        except Exception:
+            # Some row failed: each run is evaluated alone from its
+            # generator's state before the step, so only a failing run errs.
+            evaluated = []
+            for run, state in zip(stepped, held):
+                rec, _, rng, point = run
+                rng.bit_generator.state = state
+                try:
+                    value = cost_estimate(ctx.spec, point, ctx.cost_table, alpha, shots, rng)
+                    evaluated.append((run, value))
+                except Exception as exc:
+                    rec.error = _error(exc)
+        for (rec, search, rng, _), value in evaluated:
             try:
-                points.append(search.send(sampled_cvar(state, ctx.cost_table, alpha, shots, rng)))
-                live.append((rec, search, rng))
+                live.append((rec, search, rng, search.send(value)))
             except StopIteration as stop:
                 done.append((rec, stop.value))
             except Exception as exc:
                 rec.error = _error(exc)
-        clock = _charge([rec for rec, _, _ in advanced], clock)
+        clock = _charge([rec for rec, *_ in stepped], clock)
         for rec, result in done:
             # The last build and its probabilities reuse the step's buffers.
             try:

@@ -9,7 +9,7 @@ vertex (the pole) into row 0 and then makes one of three moves:
   halves and nothing is evaluated;
 - repair: the span is rank-deficient, or a vertex lies too far from the
   pole or too close to the plane of the others, so that vertex is rebuilt
-  half a radius from the pole;
+  half a radius from the pole, on the side where the model descends;
 - model step: the full-radius step against the model gradient, accepted or
   rejected by actual-versus-predicted reduction (a rejection shrinks rho).
 
@@ -43,6 +43,9 @@ _BETA = 2.1
 _GEOM_FRACTION = 0.5
 _ACCEPT_RATIO = 0.1
 _SHRINK = 0.5
+# A repair's slope sign from the span's inverse is certain above this, in
+# units of |span|_F * |inv|_F * |g| * |step| (see _orient_downhill).
+_SIGN_GUARD = 1e4 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -171,7 +174,7 @@ def _search(x0: np.ndarray, settings: OptimizerSettings):
                     direction = np.linalg.svd(span)[2][-1]
                 else:
                     direction = inv[:, j] / _norm(inv[:, j])
-                x = pole + _orient_downhill(_GEOM_FRACTION * rho * direction, span, df)
+                x = pole + _orient_downhill(_GEOM_FRACTION * rho * direction, span, df, inv)
             else:
                 # Linear model: span @ g = df. The trust-region minimizer of
                 # the model is the full-radius step against g. A non-finite
@@ -217,10 +220,28 @@ def _inverse_or_none(span: np.ndarray) -> np.ndarray | None:
     return inv
 
 
-def _orient_downhill(step: np.ndarray, span: np.ndarray, df: np.ndarray) -> np.ndarray:
-    """Flip a geometry step so the least-squares model predicts descent."""
+def _orient_downhill(
+    step: np.ndarray, span: np.ndarray, df: np.ndarray, inv: np.ndarray | None = None
+) -> np.ndarray:
+    """Flip a geometry step so the least-squares model predicts descent.
+
+    With the span's inverse, the sign is settled without ``lstsq`` where it
+    is certain: an all-zero ``df`` has zero slope, and ``g = inv @ df``
+    decides when ``|g @ step|`` exceeds ``_SIGN_GUARD`` times the Frobenius
+    norms of span and inverse and the norms of g and step. Both solves lie
+    within a few eps * cond(span) * |g| of the exact gradient, so the guard
+    leaves a margin of about 1e4; the tests check that a decided flip is
+    ``lstsq``'s on spans of condition number 1 to 1e16.
+    """
     if not np.isfinite(df).all():
         return step
+    if inv is not None:
+        if not df.any():
+            return step
+        g = inv @ df
+        slope = float(g @ step)
+        if abs(slope) > _SIGN_GUARD * _norm(span) * _norm(inv) * _norm(g) * _norm(step):
+            return -step if slope > 0.0 else step
     g = np.linalg.lstsq(span, df, rcond=None)[0]
     if np.isfinite(g).all() and float(g @ step) > 0.0:
         return -step

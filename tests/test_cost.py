@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqabench import cost
+from vqabench import circuit, cost
 from vqabench.circuit import (
     _CHUNK,
     AnsatzSpec,
@@ -319,7 +319,8 @@ class TestCostEstimate:
         monkeypatch.setattr(cost, "sample_bitstrings", recorded)
         for _ in range(3):
             cost_estimate(spec, params, table, 0.25, shots, rng)
-        assert outs[1] is not None and outs[2] is outs[1]
+        # Each call lends a view of the same buffer.
+        assert outs[1] is not None and outs[2].base is outs[1].base is not None
 
     @staticmethod
     def _stream(table, spec, params, shots, seed, calls):
@@ -385,3 +386,118 @@ class TestCostEstimate:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == expected and direct == expected
+
+
+#: Shots on both sides of the guide table's switch (from 0.4 * 2^N shots: 7
+#: at N=4, 26 at N=6, 205 at N=9) and of the chunk size, where a tile of
+#: whole rows gives way to one cut row.
+BATCH_SHOTS = [1, 25, 26, 100, 1_000, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5]
+
+
+class TestBatchedSampledCvar:
+    """R states with their R generators in one ``sampled_cvar`` call: each
+    row's value is the bits of the single call on that state and generator,
+    and each generator ends where the single call leaves it."""
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def _rows(n, rows):
+        """Read-only ``(rows, 2^n)`` states, a crowded one every third row, and
+        the cost table. The crowded state puts tiny probabilities on most
+        entries, so its guide buckets hold many CDF entries and some draws
+        need the search."""
+        spec = AnsatzSpec(n, 1)
+        params = np.random.default_rng(n).uniform(-3, 3, (rows, spec.num_parameters))
+        states = build_statevector(spec, params)
+        for r in range(2, rows, 3):
+            p = np.full(1 << n, 1e-7)
+            p[[1, (1 << n) // 2, (1 << n) - 2]] = 1.0
+            states[r] = np.sqrt(p / p.sum())
+        states.flags.writeable = False
+        return states, all_costs(random_qubo(n, seed=n))
+
+    @pytest.mark.parametrize("n", [4, 6, 9])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16])
+    @pytest.mark.parametrize("shots", BATCH_SHOTS)
+    def test_rows_equal_their_single_calls(self, n, rows, shots):
+        states, table = self._rows(n, rows)
+        for alpha in (0.15, 0.25, 1.0):
+            seeds = [1000 * n + 10 * rows + r for r in range(rows)]
+            batch = [np.random.default_rng(seed) for seed in seeds]
+            alone = [np.random.default_rng(seed) for seed in seeds]
+            got = cost.sampled_cvar(states, table, alpha, shots, batch)
+            expected = [
+                cost.sampled_cvar(state, table, alpha, shots, rng)
+                for state, rng in zip(states, alone)
+            ]
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+            assert [g.bit_generator.state for g in batch] == [g.bit_generator.state for g in alone]
+
+    @pytest.mark.parametrize("shots", [25, 26, 1_000])
+    def test_sampler_rows_equal_their_single_calls(self, shots):
+        # 16 rows of N=6 states, below and above the guide table's switch,
+        # in one chunk (25 and 26 shots) and in two (1 000 shots).
+        states, _ = self._rows(6, 16)
+        batch = [np.random.default_rng(r) for r in range(16)]
+        alone = [np.random.default_rng(r) for r in range(16)]
+        out = np.full((16, shots), -1, dtype=np.intp)
+        assert sample_bitstrings(states, shots, batch, out=out) is out
+        for r in range(16):
+            assert np.array_equal(out[r], sample_bitstrings(states[r], shots, alone[r]))
+        assert [g.random() for g in batch] == [g.random() for g in alone]
+
+    def test_a_refused_state_refuses_its_tile_before_drawing(self):
+        # Row 1 has a Born total of 4: the call raises the single call's
+        # error before any row of the tile has drawn a uniform.
+        states, table = self._rows(6, 3)
+        states = states.copy()
+        states[1] *= 2.0
+        gens = [np.random.default_rng(r) for r in range(3)]
+        fresh = [g.bit_generator.state for g in gens]
+        with pytest.raises(ValueError) as refused:
+            cost.sampled_cvar(states[1], table, 0.25, 100, np.random.default_rng(1))
+        with pytest.raises(ValueError) as batch:
+            cost.sampled_cvar(states, table, 0.25, 100, gens)
+        assert str(batch.value) == str(refused.value)
+        assert [g.bit_generator.state for g in gens] == fresh
+
+    @pytest.mark.parametrize("count", [2, 4])
+    @pytest.mark.parametrize("shots", [100, _CHUNK + 1])
+    def test_a_generator_count_other_than_r_is_refused(self, count, shots):
+        # One tile of three rows at 100 shots, three tiles of one above
+        # _CHUNK: either way no generator draws.
+        states, table = self._rows(6, 3)
+        gens = [np.random.default_rng(r) for r in range(count)]
+        fresh = [g.bit_generator.state for g in gens]
+        with pytest.raises(ValueError, match=f"3 states need as many generators, got {count}"):
+            cost.sampled_cvar(states, table, 0.25, shots, gens)
+        assert [g.bit_generator.state for g in gens] == fresh
+
+    @staticmethod
+    def _warm_batch_peak(n, rows, shots):
+        states, table = TestBatchedSampledCvar._rows(n, rows)
+        gens = [np.random.default_rng(r) for r in range(rows)]
+        cost.sampled_cvar(states, table, 0.15, shots, gens)
+        tracemalloc.start()
+        try:
+            cost.sampled_cvar(states, table, 0.15, shots, gens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.mark.parametrize(
+        "n, rows, shots",
+        [(6, 16, 100), (6, 16, 1_000), (9, 2, 1_000), (6, 3, 3 * _CHUNK + 5)],
+        ids=["one-tile", "two-tiles", "guided-n9", "cut-rows"],
+    )
+    def test_warm_batch_allocates_chunk_sized_temporaries(self, n, rows, shots):
+        # The tiles' draws share this thread's buffer of max(shots, _CHUNK)
+        # entries, and the rows' CDFs its spare state rows, so what a warm
+        # batch allocates is chunk-sized: uniforms, probes, flags, offsets
+        # and, on the guided path, the rows' bucket counts.
+        peak = self._warm_batch_peak(n, rows, shots)
+        held = circuit._workspace.shots[1]
+        assert held.dtype == np.intp and held.size <= max(shots, _CHUNK)
+        assert peak <= 4 * _CHUNK * 8
+

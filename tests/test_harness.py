@@ -3,6 +3,7 @@
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import math
 import multiprocessing
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from vqabench import cost, harness, qubo
-from vqabench.circuit import sample_bitstrings
+from vqabench.circuit import build_statevector, sample_bitstrings
 from vqabench.harness import (
     AnsatzSettings,
     ExperimentConfig,
@@ -586,6 +587,95 @@ class TestRunBlock:
         monkeypatch.setattr(cost, "sample_bitstrings", sampler)
         block = harness.run_block(ctx, 1.0, 20, range(3))
         assert block[1].error == "RuntimeError: sampler exploded"
+        assert (block[1].n_calls, block[1].p_min, block[1].best_cost) == (None, None, None)
+        for i in (0, 2):
+            assert block[i].to_json_line() == singles[i].to_json_line()
+
+    def test_a_sampler_failing_after_its_draws_fails_its_run_alone(self, monkeypatch):
+        # The sampler draws every row of the batch before it raises, so the
+        # other runs' generators have moved on: they are set back before each
+        # run is evaluated alone, and only run 1 fails.
+        ctx = prepare_context(tiny_config())
+        failing = run_seed(ctx.master_seed, config_id(1.0, 20), 1)
+        singles = [run_single(ctx, 1.0, 20, i) for i in range(3)]
+        batches = []
+
+        def sampler(state, shots, rng, out=None):
+            drawn = sample_bitstrings(state, shots, rng, out=out)
+            gens = [rng] if state.ndim == 1 else rng
+            batches.append(len(gens))
+            if any(gen.bit_generator.seed_seq.entropy == failing for gen in gens):
+                raise RuntimeError("sampler exploded")
+            return drawn
+
+        monkeypatch.setattr(cost, "sample_bitstrings", sampler)
+        block = harness.run_block(ctx, 1.0, 20, range(3))
+        assert batches[0] == 3
+        assert block[1].error == "RuntimeError: sampler exploded"
+        assert (block[1].n_calls, block[1].p_min, block[1].best_cost) == (None, None, None)
+        for i in (0, 2):
+            assert block[i].to_json_line() == singles[i].to_json_line()
+
+    def test_a_point_that_is_not_finite_fails_its_run_alone(self, monkeypatch):
+        # The second search of the block asks an infinite point from its 21st
+        # call on. The build would refuse the whole batch; only that run fails,
+        # with the build's own error, and the others keep their records.
+        cfg = tiny_config(
+            qubo=QuboSource(dimension=4, seed=5), ansatz=AnsatzSettings(reps=1),
+            optimizer=OptimizerSettings(n_max=100, rho_beg=1.0, rho_end=1e-4), runs_per_config=4,
+        )
+        ctx = prepare_context(cfg)
+        singles = [run_single(ctx, 0.25, 100, i) for i in range(4)]
+        assert all(rec.error is None and rec.n_calls > 21 for rec in singles)
+        with pytest.raises(ValueError) as refused:
+            build_statevector(ctx.spec, np.full(ctx.spec.num_parameters, math.inf))
+        minimize_, searches = harness.minimize, []
+
+        def poisoned(search):
+            point = next(search)
+            for calls in itertools.count():
+                value = yield np.full_like(point, math.inf) if calls >= 20 else point
+                try:
+                    point = search.send(value)
+                except StopIteration as stop:
+                    return stop.value
+
+        def minimize(objective, start, settings):
+            searches.append(minimize_(objective, start, settings))
+            return poisoned(searches[-1]) if len(searches) == 2 else searches[-1]
+
+        monkeypatch.setattr(harness, "minimize", minimize)
+        block = harness.run_block(ctx, 0.25, 100, range(4))
+        assert block[1].error == f"ValueError: {refused.value}"
+        assert (block[1].n_calls, block[1].p_min, block[1].best_cost) == (None, None, None)
+        for i in (0, 2, 3):
+            assert block[i].to_json_line() == singles[i].to_json_line()
+
+    def test_a_state_the_sampler_refuses_fails_its_run_alone(self, monkeypatch):
+        # At the fifth step all three runs are live, and run 1's state is
+        # scaled so that its Born total is 4, in the batch and when its point
+        # is built alone: the batch's sampler refuses it, and only run 1
+        # fails, with the single call's error.
+        ctx = prepare_context(tiny_config())
+        singles = [run_single(ctx, 1.0, 20, i) for i in range(3)]
+        build, steps, poisoned = harness.build_statevector, [], []
+
+        def scaled(spec, params, buffers=None):
+            states = build(spec, params, buffers=buffers)
+            if states.ndim == 2:
+                steps.append(len(states))
+                if len(steps) == 5:
+                    poisoned.append(params[1].copy())
+                    states[1] *= 2.0
+            elif poisoned and np.array_equal(params, poisoned[0]):
+                states *= 2.0
+            return states
+
+        monkeypatch.setattr(harness, "build_statevector", scaled)
+        monkeypatch.setattr(cost, "build_statevector", scaled)
+        block = harness.run_block(ctx, 1.0, 20, range(3))
+        assert steps[4] == 3
+        assert block[1].error.startswith("ValueError: state not normalized: sum p = 4.0")
         assert (block[1].n_calls, block[1].p_min, block[1].best_cost) == (None, None, None)
         for i in (0, 2):
             assert block[i].to_json_line() == singles[i].to_json_line()

@@ -4,6 +4,7 @@ import ctypes
 import functools
 import hashlib
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -327,3 +328,77 @@ class TestNormBits:
             column = x[:, j]
             assert not column.flags.c_contiguous or size == 1
             assert _norm(column).hex() == float(np.linalg.norm(column)).hex()
+
+
+class TestSignCertificate:
+    """A geometry repair decides its flip from the span's inverse when the
+    sign of the model slope is certain, and calls ``lstsq`` otherwise; a
+    decided flip must be the one ``lstsq``'s gradient gives. The two solves
+    round differently on every OpenBLAS core, so this needs no pins."""
+
+    @staticmethod
+    def cases():
+        """(log10 of the condition number, span, inverse, df, step, j) repairs:
+        spans of condition number 1 to 1e16, and with one row a copy of
+        another plus 1e-9 noise; df with 0 to k zero entries; steps of half
+        a radius along each column of the inverse, both ways."""
+        rng = np.random.default_rng(29)
+        for k in (3, 6, 12):
+            for log_cond in (0, 2, 4, 8, 12, 16, "copied"):
+                q1, _ = np.linalg.qr(rng.normal(size=(k, k)))
+                q2, _ = np.linalg.qr(rng.normal(size=(k, k)))
+                if log_cond == "copied":
+                    span = rng.normal(size=(k, k))
+                    span[-1] = span[0] + 1e-9 * rng.normal(size=k)
+                else:
+                    span = (q1 * np.logspace(0, -log_cond, k)) @ q2
+                inv = optimizer._inverse_or_none(span)
+                if inv is None:
+                    continue
+                for zeros in range(k + 1):
+                    df = rng.normal(size=k)
+                    df[rng.permutation(k)[:zeros]] = 0.0
+                    for j in range(k):
+                        step = 0.5 * inv[:, j] / _norm(inv[:, j])
+                        yield log_cond, span, inv, df, step, j
+                        yield log_cond, span, inv, df, -step, j
+
+    def test_decided_flips_equal_lstsq_flips(self, monkeypatch):
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        decided, fallbacks = Counter(), Counter()
+        for log_cond, span, inv, df, step, j in self.cases():
+            g = lstsq(span, df, rcond=None)[0]
+            flip = bool(np.isfinite(g).all() and float(g @ step) > 0.0)
+            before = len(calls)
+            got = optimizer._orient_downhill(step, span, df, inv)
+            assert got is step or np.array_equal(got, -step)
+            assert (got is not step) == flip
+            (decided if len(calls) == before else fallbacks)[log_cond] += 1
+            if not df.any():
+                # both solves give a zero gradient: no flip, and no lstsq
+                assert len(calls) == before and got is step
+            elif log_cond == 0 and len(calls) > before:
+                # An orthogonal span's slope along column j of its inverse
+                # is df[j] / 2: only a zero one is left to lstsq.
+                assert df[j] == 0.0
+        assert decided[0] > fallbacks[0] > 0
+        assert sum(decided.values()) > sum(fallbacks.values())
+        assert fallbacks[16] > fallbacks[0]
+
+    def test_without_an_inverse_every_repair_calls_lstsq(self, monkeypatch):
+        lstsq, calls = np.linalg.lstsq, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        for df in (np.zeros(3), np.ones(3)):
+            optimizer._orient_downhill(np.ones(3), np.eye(3), df)
+        assert len(calls) == 2
