@@ -51,7 +51,7 @@ from .metrics import (
     normalize,
     quality_level_curve,
 )
-from .optimizer import OptimizerSettings, minimize
+from .optimizer import OptimizerSettings, check_start, minimize
 from .qubo import QuboInstance, all_costs, brute_force_minimum, check_enumerable, random_qubo
 
 RECORDS_FILENAME = "records.jsonl"
@@ -282,7 +282,11 @@ class RunRecord:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunRecord":
-        return _read(RunRecord, doc, "record")
+        rec = _read(RunRecord, doc, "record")
+        outcome = [rec.n_calls, rec.p_min, rec.best_cost]
+        if outcome.count(None) != (0 if rec.error is None else len(outcome)):
+            raise ValueError("record needs either n_calls, p_min and best_cost or an error")
+        return rec
 
     def to_json_line(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
@@ -301,7 +305,10 @@ class _RunContext:
 
 
 def prepare_context(cfg: ExperimentConfig) -> _RunContext:
-    """Resolve the QUBO, the shared start point, the cost table and its minimum mask."""
+    """Resolve the QUBO, the shared start point, the cost table and its minimum mask.
+
+    The start point and the budget are refused here as every run's ``minimize``
+    would refuse them (check_start), before the 2^N costs are enumerated."""
     if cfg.qubo.path is not None:
         q = load_qubo(cfg.qubo.path)
     else:
@@ -315,19 +322,10 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
             raise ValueError(
                 f"initial_params has {theta0.size} values, ansatz needs {spec.num_parameters}"
             )
-        if not np.isfinite(theta0).all():
-            raise ValueError("initial_params values must be finite")
     else:
         rng = np.random.default_rng(start.seed)
         theta0 = rng.uniform(-math.pi, math.pi, size=spec.num_parameters)
-    # minimize would refuse such a budget in every run, after the files exist
-    k = spec.num_parameters
-    if cfg.optimizer.n_max < k + 2:
-        raise ValueError(
-            f"optimizer n_max={cfg.optimizer.n_max} too small: the first linear model "
-            f"over the ansatz's {k} parameters takes {k + 2} evaluations"
-        )
-    # Last: a config refused above never pays for the 2^N enumeration.
+    check_start(theta0, cfg.optimizer)
     cost_table = all_costs(q)
     for shared in (theta0, cost_table):
         shared.setflags(write=False)
@@ -465,13 +463,10 @@ def _worker_run(task: tuple[float, int, tuple]) -> list[RunRecord]:
     return run_block(_WORKER_CTX, *task)
 
 
-def _record_sort_key(rec: RunRecord) -> tuple:
-    return (rec.alpha, rec.shots, rec.run_index)
-
-
 def load_records(path: str) -> list[RunRecord]:
     """The records of a records.jsonl file, each line read like a config. A
-    line that is not one record's JSON object, each field of its type, raises
+    line that is not one record's JSON object, each field of its type and
+    either its whole outcome or an error (RunRecord.from_dict), raises
     ValueError naming the file and the line number."""
     records = []
     with open(path, encoding="utf-8") as fh:
@@ -482,6 +477,22 @@ def load_records(path: str) -> list[RunRecord]:
                 except ValueError as exc:
                     raise ValueError(f"{path}, line {number}: not a run record: {exc}") from exc
     return records
+
+
+def _runs_by_cell(records, cfg: ExperimentConfig, where: str = "") -> dict[str, dict]:
+    """Each grid cell's records keyed by run index. A record of another cell or
+    of a run_index outside range(runs_per_config), and a run listed twice,
+    raise ValueError, its message prefixed by ``where``."""
+    runs: dict[str, dict[int, RunRecord]] = {cid: {} for _, _, cid in _cells(cfg)}
+    for rec in records:
+        run = f"{where}run {rec.run_index} of config {rec.config_id!r}"
+        cell = runs.get(rec.config_id)
+        if cell is None or not 0 <= rec.run_index < cfg.runs_per_config:
+            raise ValueError(f"{run} is not in the experiment grid")
+        if rec.run_index in cell:
+            raise ValueError(f"{run} is listed twice")
+        cell[rec.run_index] = rec
+    return runs
 
 
 def _drop_torn_tail(path: str) -> None:
@@ -522,10 +533,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
     any file is touched. The snapshot is written only where there is none.
     The run context is prepared once, here, and only when a run is pending.
     A records line that is not a run record, a record of a run outside the
-    grid or listed twice, and a context that cannot be prepared raise before
-    the snapshot is written and before a record or a timing is appended.
-    Each cell's pending runs are computed in lockstep blocks (run_block) of
-    at most block_runs(N) runs, cut from the pending run indices alone.
+    grid or listed twice (analyze's check), and a context that cannot be
+    prepared raise before the snapshot is written and a record or a timing
+    appended. Each cell's pending runs are computed in lockstep blocks
+    (run_block) of at most block_runs(N) runs, cut from its pending indices.
     """
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
     timings_path = os.path.join(out_dir, TIMINGS_FILENAME)
@@ -549,24 +560,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
         if os.path.exists(path):
             _drop_torn_tail(path)
     records = load_records(records_path) if has_records else []
-    cells = {cid for _, _, cid in _cells(cfg)}
-    done: set[tuple[str, int]] = set()
-    for rec in records:
-        if rec.config_id not in cells or not 0 <= rec.run_index < cfg.runs_per_config:
-            raise ValueError(f"{records_path}: run {rec.run_index} of config "
-                             f"{rec.config_id!r} is not in the experiment grid")
-        if (rec.config_id, rec.run_index) in done:
-            raise ValueError(f"{records_path}: run {rec.run_index} of config "
-                             f"{rec.config_id!r} is listed twice")
-        done.add((rec.config_id, rec.run_index))
+    runs = _runs_by_cell(records, cfg, f"{records_path}: ")
     ctx, tasks = None, []
-    if len(done) < len(cells) * cfg.runs_per_config:
+    if len(records) < len(runs) * cfg.runs_per_config:
         ctx = prepare_context(cfg)
         # The missing runs go in blocks: each cell's pending run indices in
         # order, cut every block_runs(N), whatever the worker count.
         size = block_runs(ctx.spec.n_qubits)
         for alpha, shots, cid in _cells(cfg):
-            indices = [i for i in range(cfg.runs_per_config) if (cid, i) not in done]
+            indices = [i for i in range(cfg.runs_per_config) if i not in runs[cid]]
             tasks += [(alpha, shots, tuple(indices[lo : lo + size]))
                       for lo in range(0, len(indices), size)]
 
@@ -602,7 +604,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
             for task in tasks:
                 sink(run_block(ctx, *task))
 
-    records.sort(key=_record_sort_key)
+    records.sort(key=lambda rec: (rec.alpha, rec.shots, rec.run_index))
     _write_durably(records_path, (rec.to_json_line() for rec in records))
     return records
 
@@ -616,34 +618,24 @@ def analyze(
     """Per-configuration metric reports keyed by config id in (alpha, shots)
     order, optionally written as CSV tables.
 
-    The successful records are grouped by grid cell in one pass and taken in
-    run order; a run listed twice, or one of a cell outside the grid, failed
-    or not, raises ValueError before any file is written. Configurations
-    without at least two successful runs are reported as skipped and
-    excluded from the tables and the selection. When ``out_dir`` is given,
-    writes metrics.csv (one row per configuration), one pivoted table per
-    metric with shots as rows and alphas as columns, the selected-set
-    listing of accepted configurations, and every grid cell's quality-diagram
-    data under diagrams/<config_id>/, skipped cells included.
+    A record, failed or not, of a run outside the grid (another cell, or a
+    run_index outside range(runs_per_config)) or listed twice raises
+    ValueError before any file is written, as in run_experiment. Each cell's
+    successful runs are taken in run order. Configurations without at least
+    two are reported as skipped and excluded from the tables and the
+    selection. When ``out_dir`` is given, writes metrics.csv (one row per
+    configuration), one pivoted table per metric with shots as rows and
+    alphas as columns, the selected-set listing of accepted configurations,
+    and every grid cell's quality-diagram data under diagrams/<config_id>/,
+    skipped cells included.
     """
     cells = sorted(_cells(cfg))
-    runs: dict[str, list[RunRecord]] = {cid: [] for _, _, cid in cells}
-    n_failed: Counter = Counter()
-    listed: set[tuple[str, int]] = set()
-    for rec in records:
-        if (rec.config_id, rec.run_index) in listed:
-            raise ValueError(f"run {rec.run_index} of config {rec.config_id!r} is listed twice")
-        listed.add((rec.config_id, rec.run_index))
-        if rec.config_id not in runs:
-            raise ValueError(f"record config {rec.config_id!r} not in the experiment grid")
-        if rec.error is not None:
-            n_failed[rec.config_id] += 1
-        else:
-            runs[rec.config_id].append(rec)
+    listed = _runs_by_cell(records, cfg)
+    runs: dict[str, list[RunRecord]] = {}
     dists: dict[str, VqaDistribution] = {}
     reports: dict[str, MetricsReport] = {}
     for _, _, cid in cells:
-        runs[cid].sort(key=_record_sort_key)
+        runs[cid] = [rec for _, rec in sorted(listed[cid].items()) if rec.error is None]
         outcomes = [RunOutcome(rec.n_calls, rec.p_min) for rec in runs[cid]]
         dist = dists[cid] = VqaDistribution(outcomes, cfg.optimizer.n_max, cfg.p_threshold)
         if len(dist) < 2:
@@ -651,7 +643,7 @@ def analyze(
 
             logging.getLogger(__name__).warning(
                 "config %s skipped: %d successful runs (%d failed)",
-                cid, len(dist), n_failed[cid],
+                cid, len(dist), len(listed[cid]) - len(dist),
             )
             continue
         reports[cid] = compute_report(dist, cfg.thresholds, cfg.confidence, strict=strict)

@@ -92,9 +92,24 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings):
     OptimizationResult as its ``StopIteration.value``. A caller can so
     advance many searches together; driving one with ``objective`` is the
     same sequence of points and floating-point steps. The start point and
-    the budget are checked here, before the generator is made.
+    the budget are checked (check_start) before the generator is made.
     """
     x0 = np.array(initial, dtype=np.float64)
+    check_start(x0, settings)
+    steps = _search(x0, settings)
+    if objective is None:
+        return steps
+    x = next(steps)
+    while True:
+        try:
+            x = steps.send(objective(x))
+        except StopIteration as stop:
+            return stop.value
+
+
+def check_start(x0: np.ndarray, settings: OptimizerSettings) -> None:
+    """Refuse, with ValueError, a start point that is not a finite non-empty
+    vector and a budget below the k + 2 calls of its first linear model."""
     if x0.ndim != 1 or x0.size < 1:
         raise ValueError(f"initial point must be a non-empty vector, got shape {x0.shape}")
     if not np.isfinite(x0).all():
@@ -105,15 +120,6 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings):
             f"n_max={settings.n_max} too small: building the linear model over "
             f"{k} parameters takes at least {k + 2} evaluations"
         )
-    steps = _search(x0, settings)
-    if objective is None:
-        return steps
-    x = next(steps)
-    while True:
-        try:
-            x = steps.send(objective(x))
-        except StopIteration as stop:
-            return stop.value
 
 
 def _search(x0: np.ndarray, settings: OptimizerSettings):

@@ -188,6 +188,43 @@ class TestAnalyze:
         assert err["error"] == "ValueError" and "not in the experiment grid" in err["detail"]
         assert not tables.exists()
 
+    @pytest.mark.parametrize("run_index", [3, -1])
+    def test_run_index_outside_the_grid_fails_and_writes_no_tables(
+        self, experiment_dir, capsys, run_index
+    ):
+        # runs_per_config is 3: such a run is no run of this experiment.
+        out = experiment_dir / "out"
+        lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        doc = json.loads(lines[1])
+        doc["run_index"] = run_index
+        lines[1] = json.dumps(doc) + "\n"
+        (out / "stray.jsonl").write_text("".join(lines))
+        tables = experiment_dir / "tables"
+        code = main(["analyze", "--records", str(out / "stray.jsonl"),
+                     "--out-tables", str(tables)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["detail"] == (f"run {run_index} of config {doc['config_id']!r} "
+                                 "is not in the experiment grid")
+        assert not tables.exists()
+
+    def test_record_without_its_outcome_fails_and_writes_no_tables(self, experiment_dir, capsys):
+        # It used to reach the metrics and fail there with a TypeError.
+        out = experiment_dir / "out"
+        lines = (out / "records.jsonl").read_text().splitlines(keepends=True)
+        doc = json.loads(lines[1])
+        del doc["p_min"]
+        lines[1] = json.dumps(doc) + "\n"
+        (out / "partial.jsonl").write_text("".join(lines))
+        tables = experiment_dir / "tables"
+        code = main(["analyze", "--records", str(out / "partial.jsonl"),
+                     "--out-tables", str(tables)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "partial.jsonl, line 2" in err["detail"]
+        assert not tables.exists()
+
     def test_missing_snapshot_fails_with_json_error(self, experiment_dir, capsys):
         records = experiment_dir / "elsewhere" / "records.jsonl"
         records.parent.mkdir()

@@ -38,7 +38,7 @@ from vqabench.harness import (
     save_qubo,
 )
 from vqabench.metrics import ESTIMATES, SelectionThresholds, Verdict
-from vqabench.optimizer import OptimizerSettings
+from vqabench.optimizer import OptimizerSettings, minimize
 from vqabench.qubo import (
     MAX_QUBITS,
     QuboInstance,
@@ -435,6 +435,26 @@ class TestPrepareContext:
     def test_refuses_to_enumerate_past_the_limit(self):
         with pytest.raises(ValueError, match="exhaustive"):
             prepare_context(tiny_config(qubo=QuboSource(dimension=MAX_QUBITS + 1, seed=5)))
+
+    @pytest.mark.parametrize(
+        "values, n_max, named",
+        [
+            ((math.nan, 0.1, 0.2), 20, "initial point must be finite"),
+            ((0.1, math.inf, 0.2), 20, "initial point must be finite"),
+            ((0.1, 0.2, 0.3), 4, "n_max=4 too small"),  # k + 1 for k = 3 parameters
+        ],
+        ids=["nan", "inf", "k+1"],
+    )
+    def test_refuses_a_start_or_budget_with_the_optimizers_message(self, values, n_max, named):
+        # One check, so a config is refused at set-up exactly as every run's
+        # search would refuse it.
+        settings = OptimizerSettings(n_max=n_max, rho_beg=1.0, rho_end=1e-3)
+        with pytest.raises(ValueError, match=named) as by_search:
+            minimize(None, np.array(values), settings)
+        cfg = tiny_config(initial_params=InitialParams(values=values), optimizer=settings)
+        with pytest.raises(ValueError, match=named) as by_context:
+            prepare_context(cfg)
+        assert str(by_context.value) == str(by_search.value)
 
 
 class TestSeeds:
@@ -881,6 +901,37 @@ class TestRunExperiment:
             assert {name: (out / name).read_bytes() for name in names} == before
 
     @pytest.mark.parametrize(
+        "dropped, added",
+        [
+            (("p_min",), {}),
+            (("n_calls", "p_min", "best_cost"), {}),
+            ((), {"error": "ValueError: boom"}),
+        ],
+        ids=["p_min-dropped", "no-outcome-no-error", "outcome-and-error"],
+    )
+    def test_rerun_refuses_a_record_without_one_outcome_or_error_and_keeps_every_byte(
+        self, tmp_path, monkeypatch, dropped, added
+    ):
+        # A record missing p_min used to count as a finished run, and only
+        # analyze failed on it, with a TypeError from the metrics.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        lines = records_path.read_text().splitlines(keepends=True)[:6]  # runs are pending
+        doc = {key: v for key, v in json.loads(lines[1]).items() if key not in dropped}
+        lines[1] = json.dumps({**doc, **added}, sort_keys=True, separators=(",", ":")) + "\n"
+        records_path.write_text("".join(lines))
+        names = ("records.jsonl", "timings.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        prepared = []
+        monkeypatch.setattr(harness, "prepare_context", prepared.append)
+        with pytest.raises(ValueError, match="records.jsonl, line 2: not a run record: record "
+                                             "needs either n_calls, p_min and best_cost or an error"):
+            run_experiment(tiny_config(), str(out))
+        assert prepared == []
+        assert {name: (out / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize(
         "extra, named",
         [
             (lambda first: first, "run 0 of config 'alpha=0.25_shots=20' is listed twice"),
@@ -1222,8 +1273,29 @@ class TestAnalyze:
         else:
             rogue.n_calls, rogue.p_min, rogue.best_cost = 3, 0.5, 0.0
         out = tmp_path / "tables"
-        with pytest.raises(ValueError, match=r"'alpha=0.5_shots=7' not in the experiment grid"):
+        with pytest.raises(
+            ValueError, match=r"run 0 of config 'alpha=0.5_shots=7' is not in the experiment grid"
+        ):
             analyze(records + [rogue], cfg, out_dir=str(out))
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run_index", [3, -1])
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_run_index_outside_runs_per_config_rejected_before_any_file(
+        self, tmp_path, failed, run_index
+    ):
+        # Such a run used to be counted in its cell, so its n_runs could
+        # exceed runs_per_config.
+        cfg = tiny_config()
+        records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
+        stray = replace(records[4], run_index=run_index)
+        if failed:
+            stray.error = "boom"
+            stray.n_calls = stray.p_min = stray.best_cost = None
+        out = tmp_path / "tables"
+        with pytest.raises(ValueError, match=rf"run {run_index} of config "
+                                             rf"'{stray.config_id}' is not in the experiment grid"):
+            analyze(records + [stray], cfg, out_dir=str(out))
         assert not out.exists()
 
     @pytest.mark.parametrize("failed", [False, True])
