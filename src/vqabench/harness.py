@@ -51,7 +51,7 @@ from .metrics import (
     normalize,
     quality_level_curve,
 )
-from .optimizer import OptimizerSettings, check_start, minimize
+from .optimizer import OptimizerSettings, SearchStack, check_start, minimize
 from .qubo import QuboInstance, all_costs, brute_force_minimum, check_enumerable, random_qubo
 
 RECORDS_FILENAME = "records.jsonl"
@@ -341,8 +341,10 @@ def prepare_context(cfg: ExperimentConfig) -> _RunContext:
 
 
 #: Amplitudes built per lockstep step: a block advances at most
-#: BLOCK_AMPLITUDES >> N runs together (16 at N=6), and one run from N=10 up.
-BLOCK_AMPLITUDES = 1 << 10
+#: BLOCK_AMPLITUDES >> N runs together (64 at N=6), and one run from N=12 up.
+#: A step's search costs about as much for the block as for one run, so a
+#: larger block pays it for more runs.
+BLOCK_AMPLITUDES = 1 << 12
 
 
 def block_runs(n_qubits: int) -> int:
@@ -356,16 +358,18 @@ def run_block(
     """Execute seeded optimization runs of one cell in lockstep and package
     their records, in the order of ``run_indices``.
 
-    Each run is its own ask/tell search on its own generator, derived only
-    from (master_seed, config_id, run_index). At each step the live runs'
+    Each run's search is made alone (``minimize(None, ...)``) and the block's
+    searches step as one SearchStack; each run's generator derives only from
+    (master_seed, config_id, run_index). At each step the running searches'
     points are built as one batch of states, whose row r holds the bits of
     the single build, and the batch and the runs' generators go to
     ``sampled_cvar`` in one call, which samples, prices and reduces each row
     to CVaR with its own run's generator, so every record equals the one of
     the run computed alone (wall_time aside). When the batch raises, the
     runs' generators go back to their states before the step and each run is
-    evaluated alone by ``cost_estimate``. A run whose evaluation or search
-    step raises is recorded with the error while the others go on. A run's
+    evaluated alone by ``cost_estimate``. A run whose search cannot be made
+    or whose evaluation raises is recorded with the error while the others
+    go on; a search step that raises fails every run it held. A run's
     ``wall_time`` is its share of the block: each step's time split equally
     among the runs it advanced, plus the run's own final build.
     """
@@ -376,48 +380,47 @@ def run_block(
                   seed=run_seed(ctx.master_seed, cid, i))
         for i in run_indices
     ]
-    # The running runs as (record, search, generator, its next point).
-    live = []
+    # The searched runs as (record, generator), numbered as the stack's runs.
+    runs, searches = [], []
     for rec in records:
         rec.wall_time = 0.0
         try:
-            search = minimize(None, ctx.initial_params, ctx.settings)
-            live.append((rec, search, np.random.default_rng(rec.seed), next(search)))
+            searches.append(minimize(None, ctx.initial_params, ctx.settings))
+            runs.append((rec, np.random.default_rng(rec.seed)))
         except Exception as exc:  # a failed run is recorded, never dropped
             rec.error = _error(exc)
     clock = _charge(records, clock)
     n = ctx.spec.n_qubits
-    while live:
-        stepped, live, done = live, [], []
-        gens = [rng for _, _, rng, _ in stepped]
+    stack = SearchStack.join(searches) if searches else None
+    while stack is not None and stack.runs:
+        stepped = [runs[i] for i in stack.runs]
+        points = stack.ask()
+        gens = [rng for _, rng in stepped]
         held = [rng.bit_generator.state for rng in gens]
         try:
-            states = build_statevector(
-                ctx.spec, np.array([point for *_, point in stepped]),
-                buffers=state_buffers(n, len(stepped)),
-            )
-            evaluated = list(zip(stepped, sampled_cvar(states, ctx.cost_table, alpha, shots, gens)))
+            states = build_statevector(ctx.spec, points, buffers=state_buffers(n, len(points)))
+            values = sampled_cvar(states, ctx.cost_table, alpha, shots, gens)
         except Exception:
             # Some row failed: each run is evaluated alone from its
-            # generator's state before the step, so only a failing run errs.
-            evaluated = []
-            for run, state in zip(stepped, held):
-                rec, _, rng, point = run
+            # generator's state before the step, so only a failing run errs
+            # and leaves the stack.
+            values = []
+            for (rec, rng), state, point in zip(stepped, held, points):
                 rng.bit_generator.state = state
                 try:
-                    value = cost_estimate(ctx.spec, point, ctx.cost_table, alpha, shots, rng)
-                    evaluated.append((run, value))
+                    values.append(cost_estimate(ctx.spec, point, ctx.cost_table, alpha, shots, rng))
                 except Exception as exc:
                     rec.error = _error(exc)
-        for (rec, search, rng, _), value in evaluated:
-            try:
-                live.append((rec, search, rng, search.send(value)))
-            except StopIteration as stop:
-                done.append((rec, stop.value))
-            except Exception as exc:
-                rec.error = _error(exc)
-        clock = _charge([rec for rec, *_ in stepped], clock)
-        for rec, result in done:
+                    values.append(None)
+        try:
+            done = stack.tell(values)
+        except Exception as exc:
+            done, stack = [], None
+            for rec, _ in stepped:
+                rec.error = rec.error or _error(exc)
+        clock = _charge([rec for rec, _ in stepped], clock)
+        for i, result in done:
+            rec = runs[i][0]
             # The last build and its probabilities reuse the step's buffers.
             try:
                 state = build_statevector(ctx.spec, result.final_params, buffers=state_buffers(n))
@@ -481,14 +484,23 @@ def load_records(path: str) -> list[RunRecord]:
 
 def _runs_by_cell(records, cfg: ExperimentConfig, where: str = "") -> dict[str, dict]:
     """Each grid cell's records keyed by run index. A record of another cell or
-    of a run_index outside range(runs_per_config), and a run listed twice,
-    raise ValueError, its message prefixed by ``where``."""
-    runs: dict[str, dict[int, RunRecord]] = {cid: {} for _, _, cid in _cells(cfg)}
+    of a run_index outside range(runs_per_config), one whose alpha, shots or
+    seed is not its run's, and a run listed twice raise ValueError, its
+    message prefixed by ``where``."""
+    cells = {cid: (alpha, shots) for alpha, shots, cid in _cells(cfg)}
+    runs: dict[str, dict[int, RunRecord]] = {cid: {} for cid in cells}
     for rec in records:
         run = f"{where}run {rec.run_index} of config {rec.config_id!r}"
         cell = runs.get(rec.config_id)
         if cell is None or not 0 <= rec.run_index < cfg.runs_per_config:
             raise ValueError(f"{run} is not in the experiment grid")
+        alpha, shots = cells[rec.config_id]
+        seed = run_seed(cfg.master_seed, rec.config_id, rec.run_index)
+        if (rec.alpha, rec.shots, rec.seed) != (alpha, shots, seed):
+            raise ValueError(
+                f"{run} holds alpha {rec.alpha:g}, shots {rec.shots} and seed {rec.seed}, "
+                f"not its cell's alpha {alpha:g}, shots {shots} and seed {seed}"
+            )
         if rec.run_index in cell:
             raise ValueError(f"{run} is listed twice")
         cell[rec.run_index] = rec
@@ -533,9 +545,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str, workers: int = 1) -> lis
     any file is touched. The snapshot is written only where there is none.
     The run context is prepared once, here, and only when a run is pending.
     A records line that is not a run record, a record of a run outside the
-    grid or listed twice (analyze's check), and a context that cannot be
-    prepared raise before the snapshot is written and a record or a timing
-    appended. Each cell's pending runs are computed in lockstep blocks
+    grid, listed twice or whose alpha, shots or seed is not its run's
+    (analyze's check), and a context that cannot be prepared raise before
+    the snapshot is written and a record or a timing appended. Each cell's pending runs are computed in lockstep blocks
     (run_block) of at most block_runs(N) runs, cut from its pending indices.
     """
     records_path = os.path.join(out_dir, RECORDS_FILENAME)
@@ -619,8 +631,9 @@ def analyze(
     order, optionally written as CSV tables.
 
     A record, failed or not, of a run outside the grid (another cell, or a
-    run_index outside range(runs_per_config)) or listed twice raises
-    ValueError before any file is written, as in run_experiment. Each cell's
+    run_index outside range(runs_per_config)), listed twice, or whose alpha,
+    shots or seed is not its run's (the cell's, and run_seed of its run)
+    raises ValueError before any file is written, as in run_experiment. Each cell's
     successful runs are taken in run order. Configurations without at least
     two are reported as skipped and excluded from the tables and the
     selection. When ``out_dir`` is given, writes metrics.csv (one row per

@@ -24,9 +24,13 @@ a comparison, which keeps the budget guarantee even for NaN-returning
 objectives. The optimizer itself is deterministic: with a deterministic
 objective, identical (initial, settings) reproduce the full history.
 
-The loop is an ask/tell generator that yields each point to evaluate and
-takes its value back, so a caller can advance many runs in lockstep;
-``minimize`` with an objective drives it one call at a time.
+The search is asked for points and told their values (SearchStack), and it
+runs as a stack: R searches of one budget step together, each step's array
+work done in single numpy calls over the stack, whose row r holds the bits
+of the call on search r alone. ``minimize`` with an objective drives a
+stack of one, one call at a time; a caller that advances many runs in
+lockstep joins their stacks (SearchStack.join) and evaluates each step's
+points as a batch.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ _ACCEPT_RATIO = 0.1
 _SHRINK = 0.5
 # A repair's slope sign from the span's inverse is certain above this, in
 # units of |span|_F * |inv|_F * |g| * |step| (see _orient_downhill).
-_SIGN_GUARD = 1e4 * np.finfo(np.float64).eps
+_SIGN_GUARD = 1e4 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -86,25 +90,21 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings):
     calls consumed, and the value of every call in order (``history[i]`` is
     call i + 1; non-finite values are stored as +inf).
 
-    With ``objective`` None the search is returned as an ask/tell generator
-    instead: it yields each point it wants evaluated (a copy the caller may
-    keep), takes the point's value back through ``send`` and returns the
-    OptimizationResult as its ``StopIteration.value``. A caller can so
-    advance many searches together; driving one with ``objective`` is the
-    same sequence of points and floating-point steps. The start point and
-    the budget are checked (check_start) before the generator is made.
+    With ``objective`` None the search is returned unstarted as a
+    SearchStack of one, to be joined with others (SearchStack.join) or
+    driven by ask and tell; driving it with ``objective`` is the same
+    sequence of points and floating-point steps. The start point and the
+    budget are checked (check_start) before the stack is made.
     """
     x0 = np.array(initial, dtype=np.float64)
     check_start(x0, settings)
-    steps = _search(x0, settings)
+    stack = SearchStack(x0[None], settings)
     if objective is None:
-        return steps
-    x = next(steps)
+        return stack
     while True:
-        try:
-            x = steps.send(objective(x))
-        except StopIteration as stop:
-            return stop.value
+        (x,) = stack.ask()
+        for _, result in stack.tell([objective(x)]):
+            return result
 
 
 def check_start(x0: np.ndarray, settings: OptimizerSettings) -> None:
@@ -122,136 +122,272 @@ def check_start(x0: np.ndarray, settings: OptimizerSettings) -> None:
         )
 
 
-def _search(x0: np.ndarray, settings: OptimizerSettings):
-    """The trust-region loop of ``minimize`` as an ask/tell generator."""
-    k = x0.size
-    history: list[float] = []
-    best_x = x0.copy()
-    best_f = math.inf
+class SearchStack:
+    """R searches of one budget that step together, by ask and tell.
 
-    def call(x: np.ndarray):
-        nonlocal best_x, best_f
-        value = float((yield x.copy()))
-        if not math.isfinite(value):
-            value = math.inf
-        history.append(value)
-        if value < best_f:
-            best_f = value
-            best_x = x.copy()
-        return value
+    ``ask`` returns the point each running search wants evaluated, one row
+    per run in ``runs`` order (runs are numbered by their start points), as
+    a new array the caller may keep. ``tell`` takes the values in the same
+    order, None for a run whose evaluation failed, which then leaves the
+    stack, and returns the runs that finished as (run, OptimizationResult)
+    pairs. Every running search has made the same number of calls
+    (``calls``), so the initial simplex and the budget stop are shared.
 
-    # Initial simplex: the start point plus a rho_beg step along each coordinate.
-    verts = np.tile(x0, (k + 1, 1))
-    for i in range(k):
-        verts[i + 1, i] += settings.rho_beg
-    fvals = np.empty(k + 1)
-    for i, v in enumerate(verts):
-        fvals[i] = yield from call(v)
+    A step's array work runs in single numpy calls over the stack (the
+    ``(R, k, k)`` spans, their row lengths, one stacked ``inv``, the model
+    gradients, the repair directions and the sign dot products), each giving
+    row r the bits of its call on run r alone; each search then makes its
+    own choices in Python floats from its row, so it steps exactly as it
+    would alone. The rare paths go run by run: the ``svd`` of a
+    rank-deficient span, the ``lstsq`` of a repair whose sign the inverse
+    leaves uncertain, and each span's own ``inv`` when the stacked one
+    raises on a singular span.
+    """
 
-    rho = settings.rho_beg
-    while len(history) < settings.n_max and rho >= settings.rho_end:
-        # Pivot the best vertex (the pole) into row 0.
-        b = int(fvals.argmin())
-        if b != 0:
-            row = verts[0].copy()
-            verts[0] = verts[b]
-            verts[b] = row
-            fvals[0], fvals[b] = fvals[b], fvals[0]
-        pole, fpole = verts[0], fvals[0]
-        span = verts[1:] - pole  # row j: offset of vertex j+1
+    def __init__(self, starts: np.ndarray, settings: OptimizerSettings):
+        starts = np.array(starts, dtype=np.float64)
+        for x0 in starts:
+            check_start(x0, settings)
+        n, k = starts.shape
+        self.settings, self.calls, self.runs = settings, 0, list(range(n))
+        # Initial simplex: the start point plus a rho_beg step along each coordinate.
+        self.verts = np.repeat(starts[:, None], k + 1, axis=1)
+        self.verts[:, np.arange(1, k + 1), np.arange(k)] += settings.rho_beg
+        self.fvals = np.empty((n, k + 1))
+        self.rho = [settings.rho_beg] * n
+        self.history: list[list[float]] = [[] for _ in range(n)]
+        self.best_f, self.best_x = [math.inf] * n, starts.copy()
+        # The asked points and their moves: ``slot`` is the vertex a repair
+        # rebuilds, 0 for a model step; ``judge`` holds a model step's pole
+        # value and predicted reduction, which judge it with ``inv``.
+        self.x, self.slot, self.inv = starts.copy(), [0] * n, None
+        self.judge: dict[int, tuple[float, float]] = {}
 
-        # Choose the move. inf vertices give nan differences and models.
-        with np.errstate(invalid="ignore", over="ignore"):
-            df = fvals[1:] - fpole
-            lengths = _norms(span, axis=1)
-            inv = _inverse_or_none(span)
-            if inv is None:
-                j = int(lengths.argmin())
-            elif lengths.max() > _BETA * rho:
-                j = int(lengths.argmax())
-            else:
-                extents = 1.0 / _norms(inv, axis=0)  # column j: normal of vertex j+1
-                j = int(extents.argmin()) if extents.min() < _ALPHA * rho else None
-            if j is not None:
-                # Geometry repair: rebuild vertex j+1 at half the trust radius,
-                # along the null direction of a rank-deficient span, else
-                # along its orthogonal-complement direction.
-                if inv is None:
-                    direction = np.linalg.svd(span)[2][-1]
-                else:
-                    direction = inv[:, j] / _norm(inv[:, j])
-                x = pole + _orient_downhill(_GEOM_FRACTION * rho * direction, span, df, inv)
-            else:
-                # Linear model: span @ g = df. The trust-region minimizer of
-                # the model is the full-radius step against g. A non-finite
-                # or negligible model shrinks the radius instead.
-                g = inv @ df
-                gnorm = _norm(g)
-                predicted = rho * gnorm
-                if not math.isfinite(predicted) or predicted <= 1e-13 * max(1.0, abs(fpole)):
-                    rho *= _SHRINK
+    @staticmethod
+    def join(stacks) -> "SearchStack":
+        """One stack of the runs of unstarted stacks of one budget, in order."""
+        if any(s.calls for s in stacks) or len({s.settings for s in stacks}) != 1:
+            raise ValueError("only unstarted searches of one budget can be joined")
+        return SearchStack(np.concatenate([s.x for s in stacks]), stacks[0].settings)
+
+    def ask(self) -> np.ndarray:
+        return self.x.copy()
+
+    def tell(self, values) -> list[tuple[int, OptimizationResult]]:
+        if len(values) != len(self.runs):
+            raise ValueError(f"{len(self.runs)} searches need as many values, got {len(values)}")
+        if None in values:
+            self._keep([i for i, v in enumerate(values) if v is not None])
+            values = [v for v in values if v is not None]
+        fx = []
+        for i, value in enumerate(values):
+            value = float(value)
+            if not math.isfinite(value):
+                value = math.inf
+            self.history[i].append(value)
+            if value < self.best_f[i]:
+                self.best_f[i] = value
+                self.best_x[i] = self.x[i]
+            fx.append(value)
+        self.calls += 1
+        if self.calls < self.verts.shape[1]:
+            # still building the initial simplex
+            self.fvals[:, self.calls - 1] = fx
+            self.x = self.verts[:, self.calls].copy()
+            return []
+        if self.calls == self.verts.shape[1]:
+            self.fvals[:, -1] = fx
+        else:
+            self._replace(fx)
+        return self._advance()
+
+    def _replace(self, fx: list[float]) -> None:
+        """Put each evaluated point into its simplex, or not."""
+        verts, fvals, slot = self.verts, self.fvals, self.slot
+        good = []
+        for i, (fpole, predicted) in self.judge.items():
+            if fpole - fx[i] > _ACCEPT_RATIO * predicted:
+                good.append(i)
+                continue
+            # Poor step with sound geometry: the model is trustworthy at this
+            # scale, so tighten the radius; keep the point if it at least
+            # improves the worst vertex.
+            self.rho[i] *= _SHRINK
+            worst = int(fvals[i, 1:].argmax()) + 1
+            if fx[i] < fvals[i, worst]:
+                slot[i] = worst
+        if good:
+            # Good step: replace the vertex whose span coefficient the step
+            # uses most, which keeps the simplex well conditioned.
+            rows = good if len(good) < len(slot) else slice(None)
+            steps = self.x[rows] - verts[rows, 0]
+            used = np.matmul(self.inv[rows].transpose(0, 2, 1), steps[:, :, None])[:, :, 0]
+            for i, j in zip(good, np.abs(used).argmax(axis=1).tolist()):
+                slot[i] = j + 1
+        for i, j in enumerate(slot):
+            if j:
+                verts[i, j] = self.x[i]
+                fvals[i, j] = fx[i]
+
+    def _advance(self) -> list[tuple[int, OptimizationResult]]:
+        """Choose each running search's next point, after those whose budget
+        is spent or whose radius fell below rho_end have finished."""
+        s = self.settings
+        if self.calls >= s.n_max:
+            return self._finish(range(len(self.runs)))
+        done = self._finish([i for i, radius in enumerate(self.rho) if radius < s.rho_end])
+        if not self.runs:
+            return done
+        verts, fvals, rho, n = self.verts, self.fvals, self.rho, len(self.runs)
+        # Pivot each best vertex (the pole) into row 0.
+        for i, b in enumerate(fvals.argmin(axis=1).tolist()):
+            if b:
+                row, f = verts[i], fvals[i]
+                row[0], row[b] = row[b], row[0].copy()
+                f[0], f[b] = f[b], f[0]
+        pole = verts[:, 0]
+        span = verts[:, 1:] - verts[:, :1]  # row j: offset of vertex j+1
+        with np.errstate(invalid="ignore", over="ignore"):  # inf values give nan models
+            df = fvals[:, 1:] - fvals[:, :1]
+            lengths = _norms(span, axis=2)
+            inv, invertible = _inverses(span)
+            g = np.matmul(inv, df[:, :, None])[:, :, 0]
+            longest = lengths.max(axis=1).tolist()
+            # Only a run with an inverse and no offset too long reads these.
+            if any(ok and not longest[i] > _BETA * rho[i] for i, ok in enumerate(invertible)):
+                extents = 1.0 / _norms(inv, axis=1)  # column j: normal of vertex j+1
+                thinnest, thin = extents.min(axis=1).tolist(), extents.argmin(axis=1).tolist()
+                gnorm, fpole = np.sqrt(_dots(g, g)).tolist(), fvals[:, 0].tolist()
+            # The move: without an inverse, rebuild the shortest offset's
+            # vertex; with one, the longest's if it is too long, else the
+            # thinnest's if it is too thin, else take the model step.
+            slot, judge, scale = [0] * n, {}, [0.0] * n
+            singular, far, stopped = [], [], []
+            for i, ok in enumerate(invertible):
+                if not ok:
+                    singular.append(i)
                     continue
-                x = pole - (rho / gnorm) * g
+                radius = rho[i]
+                while True:
+                    if longest[i] > _BETA * radius:
+                        far.append(i)
+                        break
+                    if thinnest[i] < _ALPHA * radius:
+                        slot[i] = thin[i] + 1
+                        break
+                    # Linear model: span @ g = df. The trust-region minimizer
+                    # of the model is the full-radius step against g. A
+                    # non-finite or negligible model shrinks the radius, and
+                    # the move is chosen again.
+                    predicted = radius * gnorm[i]
+                    if math.isfinite(predicted) and predicted > 1e-13 * max(1.0, abs(fpole[i])):
+                        judge[i], scale[i] = (fpole[i], predicted), radius / gnorm[i]
+                        break
+                    radius *= _SHRINK
+                    if radius < s.rho_end:
+                        stopped.append(i)
+                        break
+                rho[i] = radius
+            if far:
+                widest = lengths.argmax(axis=1).tolist()
+                for i in far:
+                    slot[i] = widest[i] + 1
+            x = pole - np.array(scale)[:, None] * g if judge else pole.copy()
+            # Geometry repair: rebuild vertex j+1 at half the trust radius,
+            # along the orthogonal-complement direction of an invertible span,
+            # else along its null direction.
+            repair = [i for i, j in enumerate(slot) if j and invertible[i]]
+            if repair:
+                rows = repair if len(repair) < n else slice(None)
+                col = inv[repair, :, [slot[i] - 1 for i in repair]]
+                direction = col / np.sqrt(_dots(col, col))[:, None]
+                steps = np.array([_GEOM_FRACTION * rho[i] for i in repair])[:, None] * direction
+                x[rows] = pole[rows] + _orient_downhill(steps, span[rows], df[rows], inv[rows], g[rows])
+            for i in singular:
+                slot[i] = int(lengths[i].argmin()) + 1
+                step = _GEOM_FRACTION * rho[i] * np.linalg.svd(span[i])[2][-1]
+                x[i] = pole[i] + _orient_downhill(step[None], span[i : i + 1], df[i : i + 1])[0]
+        self.x, self.slot, self.judge, self.inv = x, slot, judge, inv
+        return done + self._finish(stopped)
 
-        fx = yield from call(x)
-        if j is None:
-            if fpole - fx > _ACCEPT_RATIO * predicted:
-                # Good step: replace the vertex whose span coefficient the
-                # step uses most, which keeps the simplex well conditioned.
-                j = int(np.abs(inv.T @ (x - pole)).argmax())
-            else:
-                # Poor step with sound geometry: the model is trustworthy at
-                # this scale, so tighten the radius; keep the point if it at
-                # least improves the worst vertex.
-                rho *= _SHRINK
-                w = int(fvals[1:].argmax())
-                if fx < fvals[w + 1]:
-                    j = w
-        if j is not None:
-            verts[j + 1] = x
-            fvals[j + 1] = fx
+    def _finish(self, ended) -> list[tuple[int, OptimizationResult]]:
+        """Take the ``ended`` runs (positions in the stack) out of it and
+        return their results."""
+        if not ended:
+            return []
+        results = [
+            (self.runs[i], OptimizationResult(
+                final_params=self.best_x[i].copy(), n_calls=self.calls,
+                best_value=self.best_f[i], history=self.history[i]))
+            for i in ended
+        ]
+        ended = set(ended)
+        self._keep([i for i in range(len(self.runs)) if i not in ended])
+        return results
 
-    return OptimizationResult(
-        final_params=best_x, n_calls=len(history), best_value=best_f, history=history
-    )
+    def _keep(self, rows: list[int]) -> None:
+        """Keep only the runs at positions ``rows`` of the stack."""
+        for name in ("verts", "fvals", "best_x", "x", "inv"):
+            if getattr(self, name) is not None:
+                setattr(self, name, getattr(self, name)[rows])
+        for name in ("runs", "history", "best_f", "rho", "slot"):
+            setattr(self, name, [getattr(self, name)[i] for i in rows])
+        self.judge = {new: self.judge[i] for new, i in enumerate(rows) if i in self.judge}
 
 
-def _inverse_or_none(span: np.ndarray) -> np.ndarray | None:
+def _inverses(spans: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """Each span's inverse and whether it has a finite one: one stacked
+    ``inv``, or each span's own when a singular span makes it raise."""
     try:
-        inv = np.linalg.inv(span)
+        inv = np.linalg.inv(spans)
     except np.linalg.LinAlgError:
-        return None
-    if not np.isfinite(inv).all():
-        return None
-    return inv
+        inv = np.full_like(spans, math.nan)
+        for r, span in enumerate(spans):
+            try:
+                inv[r] = np.linalg.inv(span)
+            except np.linalg.LinAlgError:
+                pass
+    return inv, np.logical_and.reduce(np.isfinite(inv), axis=(1, 2)).tolist()
 
 
 def _orient_downhill(
-    step: np.ndarray, span: np.ndarray, df: np.ndarray, inv: np.ndarray | None = None
+    steps: np.ndarray, spans: np.ndarray, dfs: np.ndarray,
+    invs: np.ndarray | None = None, grads: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Flip a geometry step so the least-squares model predicts descent.
+    """Flip each row's geometry step so the least-squares model of its span
+    and ``df`` predicts descent.
 
-    With the span's inverse, the sign is settled without ``lstsq`` where it
-    is certain: an all-zero ``df`` has zero slope, and ``g = inv @ df``
-    decides when ``|g @ step|`` exceeds ``_SIGN_GUARD`` times the Frobenius
-    norms of span and inverse and the norms of g and step. Both solves lie
-    within a few eps * cond(span) * |g| of the exact gradient, so the guard
-    leaves a margin of about 1e4; the tests check that a decided flip is
-    ``lstsq``'s on spans of condition number 1 to 1e16.
+    With the spans' inverses and their model gradients ``g = inv @ df``, a
+    sign is settled without ``lstsq`` where it is certain: an all-zero
+    ``df`` has zero slope, and g decides when ``|g @ step|`` exceeds
+    ``_SIGN_GUARD`` times the Frobenius norms of span and inverse and the
+    norms of g and step. Both solves lie within a few eps * cond(span) * |g|
+    of the exact gradient, so the guard leaves a margin of about 1e4; the
+    tests check that a decided flip is ``lstsq``'s on spans of condition
+    number 1 to 1e16. A row whose ``df`` is not finite keeps its step.
     """
-    if not np.isfinite(df).all():
-        return step
-    if inv is not None:
-        if not df.any():
-            return step
-        g = inv @ df
-        slope = float(g @ step)
-        if abs(slope) > _SIGN_GUARD * _norm(span) * _norm(inv) * _norm(g) * _norm(step):
-            return -step if slope > 0.0 else step
-    g = np.linalg.lstsq(span, df, rcond=None)[0]
-    if np.isfinite(g).all() and float(g @ step) > 0.0:
-        return -step
-    return step
+    n = len(steps)
+    finite = np.logical_and.reduce(np.isfinite(dfs), axis=1).tolist()
+    if invs is not None:
+        sloped = np.logical_or.reduce(dfs, axis=1).tolist()
+        slopes = _dots(grads, steps).tolist()
+        mats = np.concatenate((spans.reshape(n, -1), invs.reshape(n, -1)))
+        vecs = np.concatenate((grads, steps))
+        span_norm, inv_norm = np.sqrt(_dots(mats, mats)).reshape(2, n)
+        g_norm, step_norm = np.sqrt(_dots(vecs, vecs)).reshape(2, n)
+        guards = (_SIGN_GUARD * span_norm * inv_norm * g_norm * step_norm).tolist()
+    signs = []
+    for r in range(n):
+        flip = False
+        if not finite[r] or invs is not None and not sloped[r]:
+            pass
+        elif invs is not None and abs(slopes[r]) > guards[r]:
+            flip = slopes[r] > 0.0
+        else:
+            g = np.linalg.lstsq(spans[r], dfs[r], rcond=None)[0]
+            flip = bool(np.isfinite(g).all() and float(g @ steps[r].copy()) > 0.0)
+        signs.append(-1.0 if flip else 1.0)
+    return steps * np.array(signs)[:, None]
 
 
 def _norms(x: np.ndarray, axis: int) -> np.ndarray:
@@ -260,9 +396,17 @@ def _norms(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` of a vector without its dispatch: like norm, a
-    ``dot`` over a contiguous copy, since a ``dot`` over a strided view can
-    sum in another order."""
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a[r].dot(b[r])``: ``np.vecdot`` calls BLAS ``ddot`` on
+    each row, bit for bit as it sums two fresh vectors (``np.linalg.norm``
+    of a vector calls it too). The rows are those of C-contiguous arrays
+    numpy allocated, and rows of odd length are first copied into rows
+    padded to an even length, so that every row starts on a 16-byte
+    boundary like a fresh vector: some OpenBLAS cores (Prescott) sum a
+    vector that starts off one in another order."""
+    n = a.shape[1]
+    if n % 2:
+        pair = np.zeros((2, len(a), n + 1))
+        pair[0, :, :n], pair[1, :, :n] = a, b
+        a, b = pair[:, :, :n]
+    return np.vecdot(a, b)

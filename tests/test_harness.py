@@ -3,7 +3,6 @@
 import concurrent.futures
 import csv
 import hashlib
-import itertools
 import json
 import math
 import multiprocessing
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vqabench import cost, harness, qubo
+from vqabench import cost, harness, optimizer, qubo
 from vqabench.circuit import build_statevector, sample_bitstrings
 from vqabench.harness import (
     AnsatzSettings,
@@ -38,7 +37,7 @@ from vqabench.harness import (
     save_qubo,
 )
 from vqabench.metrics import ESTIMATES, SelectionThresholds, Verdict
-from vqabench.optimizer import OptimizerSettings, minimize
+from vqabench.optimizer import OptimizerSettings, SearchStack, minimize
 from vqabench.qubo import (
     MAX_QUBITS,
     QuboInstance,
@@ -143,6 +142,13 @@ DRAWN_FORM_SNAPSHOT = """\
   }
 }
 """
+
+
+# Run 0 of alpha=0.25_shots=20 with another cell's alpha, shots or seed:
+# each alone, and all three together.
+CELL_FIELD_EDITS = [{"alpha": 0.75}, {"shots": 7}, {"seed": 1},
+                    {"alpha": 0.75, "shots": 7, "seed": 1}]
+CELL_FIELD_IDS = ["alpha", "shots", "seed", "alpha-shots-seed"]
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -580,9 +586,9 @@ class TestRunBlock:
         assert sum(rec.wall_time for rec in block) <= elapsed
 
     def test_cells_not_divided_by_the_block_size_match_their_single_runs(self, tmp_path):
-        # Blocks advance at most 2^10 / 2^8 = 4 runs at N=8, so six runs per
+        # Blocks advance at most 2^12 / 2^10 = 4 runs at N=10, so six runs per
         # cell make a block of four and a block of two.
-        n = 8
+        n = 10
         assert harness.block_runs(n) == 4
         cfg = tiny_config(
             qubo=QuboSource(dimension=n, seed=5), alphas=[0.5], shots_grid=[30],
@@ -637,9 +643,10 @@ class TestRunBlock:
             assert block[i].to_json_line() == singles[i].to_json_line()
 
     def test_a_point_that_is_not_finite_fails_its_run_alone(self, monkeypatch):
-        # The second search of the block asks an infinite point from its 21st
-        # call on. The build would refuse the whole batch; only that run fails,
-        # with the build's own error, and the others keep their records.
+        # The block's second search (run 1 of its stack) asks an infinite
+        # point from its 21st call on. The build would refuse the whole batch;
+        # only that run fails, with the build's own error, and leaves the
+        # stack, and the others keep their records.
         cfg = tiny_config(
             qubo=QuboSource(dimension=4, seed=5), ansatz=AnsatzSettings(reps=1),
             optimizer=OptimizerSettings(n_max=100, rho_beg=1.0, rho_end=1e-4), runs_per_config=4,
@@ -649,27 +656,41 @@ class TestRunBlock:
         assert all(rec.error is None and rec.n_calls > 21 for rec in singles)
         with pytest.raises(ValueError) as refused:
             build_statevector(ctx.spec, np.full(ctx.spec.num_parameters, math.inf))
-        minimize_, searches = harness.minimize, []
+        ask, poisoned = SearchStack.ask, []
 
-        def poisoned(search):
-            point = next(search)
-            for calls in itertools.count():
-                value = yield np.full_like(point, math.inf) if calls >= 20 else point
-                try:
-                    point = search.send(value)
-                except StopIteration as stop:
-                    return stop.value
+        def poisoning(stack):
+            points = ask(stack)
+            if stack.calls >= 20 and 1 in stack.runs:
+                points[stack.runs.index(1)] = math.inf
+                poisoned.append(stack.calls)
+            return points
 
-        def minimize(objective, start, settings):
-            searches.append(minimize_(objective, start, settings))
-            return poisoned(searches[-1]) if len(searches) == 2 else searches[-1]
-
-        monkeypatch.setattr(harness, "minimize", minimize)
+        monkeypatch.setattr(SearchStack, "ask", poisoning)
         block = harness.run_block(ctx, 0.25, 100, range(4))
+        assert poisoned == [20]
         assert block[1].error == f"ValueError: {refused.value}"
         assert (block[1].n_calls, block[1].p_min, block[1].best_cost) == (None, None, None)
         for i in (0, 2, 3):
             assert block[i].to_json_line() == singles[i].to_json_line()
+
+    def test_a_search_step_that_raises_fails_every_run_it_held(self, monkeypatch):
+        # The block's searches step as one stack, so a step that raises takes
+        # every run still in it, and each gets the error instead of an outcome.
+        ctx = prepare_context(tiny_config())
+        inverses, steps = optimizer._inverses, []
+
+        def failing_at_the_third_step(spans):
+            steps.append(len(spans))
+            if len(steps) == 3:
+                raise RuntimeError("step exploded")
+            return inverses(spans)
+
+        monkeypatch.setattr(optimizer, "_inverses", failing_at_the_third_step)
+        block = harness.run_block(ctx, 1.0, 20, range(3))
+        assert steps == [3, 3, 3]
+        for rec in block:
+            assert rec.error == "RuntimeError: step exploded"
+            assert (rec.n_calls, rec.p_min, rec.best_cost) == (None, None, None)
 
     def test_a_state_the_sampler_refuses_fails_its_run_alone(self, monkeypatch):
         # At the fifth step all three runs are live, and run 1's state is
@@ -702,10 +723,10 @@ class TestRunBlock:
 
     def test_blocks_follow_from_n_and_the_pending_runs_only(self, tmp_path, monkeypatch):
         # The same blocks, whatever the worker count: each cell's pending
-        # run indices in order, cut every block_runs(N) = 4 at N=8.
+        # run indices in order, cut every block_runs(N) = 4 at N=10.
         cfg = tiny_config(
-            qubo=QuboSource(dimension=8, seed=5), shots_grid=[30], runs_per_config=6,
-            optimizer=OptimizerSettings(n_max=10, rho_beg=1.0, rho_end=1e-3),
+            qubo=QuboSource(dimension=10, seed=5), shots_grid=[30], runs_per_config=6,
+            optimizer=OptimizerSettings(n_max=12, rho_beg=1.0, rho_end=1e-3),
         )
         seen = []
         run_block_ = harness.run_block
@@ -962,6 +983,33 @@ class TestRunExperiment:
             run_experiment(tiny_config(), str(out))
         assert prepared == []
         assert {name: (out / name).read_bytes() for name in names} == before
+
+    @pytest.mark.parametrize("fields", CELL_FIELD_EDITS, ids=CELL_FIELD_IDS)
+    def test_rerun_refuses_a_record_whose_fields_are_not_its_cells_and_keeps_every_byte(
+        self, tmp_path, monkeypatch, fields
+    ):
+        # The rerun used to keep such a line as run 0 of its cell and sort it
+        # by its own alpha and shots, out of canonical order.
+        out = tmp_path / "out"
+        run_experiment(tiny_config(), str(out))
+        records_path = out / "records.jsonl"
+        lines = records_path.read_text().splitlines(keepends=True)
+        doc = json.loads(lines[0])
+        assert (doc["config_id"], doc["run_index"]) == ("alpha=0.25_shots=20", 0)
+        lines[0] = json.dumps({**doc, **fields}, sort_keys=True, separators=(",", ":")) + "\n"
+        records_path.write_text("".join(lines))
+        names = ("records.jsonl", "timings.jsonl", "config.json")
+        before = {name: (out / name).read_bytes() for name in names}
+        prepared = []
+        monkeypatch.setattr(harness, "prepare_context", prepared.append)
+        for runs in (lines, lines[:6]):  # nothing pending, and runs pending
+            records_path.write_text("".join(runs))
+            before["records.jsonl"] = records_path.read_bytes()
+            with pytest.raises(ValueError, match=r"records.jsonl: run 0 of config "
+                                                 r"'alpha=0\.25_shots=20' holds alpha "):
+                run_experiment(tiny_config(), str(out))
+            assert prepared == []
+            assert {name: (out / name).read_bytes() for name in names} == before
 
     @pytest.mark.parametrize(
         "change", [{"master_seed": 100}, {"shots_grid": [20, 60]}, {"runs_per_config": 4}]
@@ -1298,6 +1346,26 @@ class TestAnalyze:
             analyze(records + [stray], cfg, out_dir=str(out))
         assert not out.exists()
 
+    @pytest.mark.parametrize("fields", CELL_FIELD_EDITS, ids=CELL_FIELD_IDS)
+    @pytest.mark.parametrize("failed", [False, True])
+    def test_record_whose_fields_are_not_its_cells_rejected_before_any_file(
+        self, tmp_path, failed, fields
+    ):
+        # Such a run used to be counted among its cell's runs.
+        cfg = tiny_config()
+        records = synthetic_records(cfg, {(a, s): 2 for a in cfg.alphas for s in cfg.shots_grid})
+        assert (records[0].config_id, records[0].run_index) == ("alpha=0.25_shots=20", 0)
+        records[0] = replace(records[0], **fields)
+        if failed:
+            records[0].error = "boom"
+            records[0].n_calls = records[0].p_min = records[0].best_cost = None
+        out = tmp_path / "tables"
+        with pytest.raises(ValueError, match=r"^run 0 of config 'alpha=0\.25_shots=20' holds "
+                                             r"alpha .* not its cell's alpha 0\.25, shots 20 "
+                                             rf"and seed {run_seed(cfg.master_seed, records[0].config_id, 0)}$"):
+            analyze(records, cfg, out_dir=str(out))
+        assert not out.exists()
+
     @pytest.mark.parametrize("failed", [False, True])
     def test_run_listed_twice_rejected_before_any_file(self, tmp_path, failed):
         # A concatenated records file would otherwise double the cell's
@@ -1340,7 +1408,7 @@ class TestDiagramData:
         cid = config_id(0.25, 20)
         records = [
             RunRecord(config_id=cid, alpha=0.25, shots=20, run_index=0,
-                      seed=1, n_calls=1, p_min=1.0, best_cost=0.0)
+                      seed=run_seed(cfg.master_seed, cid, 0), n_calls=1, p_min=1.0, best_cost=0.0)
         ]
         analyze(records, cfg, out_dir=str(tmp_path))
         assert self.diagram_rows(tmp_path, cid, "scatter.csv") == ["0,1,1.0,0.0,0.0"]

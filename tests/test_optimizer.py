@@ -14,7 +14,8 @@ from vqabench import optimizer
 from vqabench.optimizer import (
     OptimizationResult,
     OptimizerSettings,
-    _norm,
+    SearchStack,
+    _dots,
     _norms,
     minimize,
 )
@@ -160,16 +161,16 @@ class TestDeterminism:
             return math.nan if value > 2.5 else value
 
         search = minimize(None, np.zeros(3), settings)
-        asked = []
-        point = next(search)
-        try:
-            while True:
-                asked.append(point.copy())
-                value = noisy(point)
-                point[:] = 1e9
-                point = search.send(value)
-        except StopIteration as stop:
-            told = stop.value
+        assert isinstance(search, SearchStack) and search.runs == [0]
+        asked, finished = [], []
+        while not finished:
+            (point,) = search.ask()
+            asked.append(point.copy())
+            value = noisy(point)
+            point[:] = 1e9
+            finished = search.tell([value])
+        ((run, told),) = finished
+        assert run == 0 and search.runs == []
         points = []
         driven = minimize(lambda x: points.append(x.copy()) or noisy(x), np.zeros(3), settings)
         assert [p.tobytes() for p in asked] == [p.tobytes() for p in points]
@@ -226,6 +227,120 @@ def nan_patched():
 
 def coupled_quadratic(x):
     return float(((x - 1.0) ** 2).sum() + 0.3 * x[0] * x[1])
+
+
+def shifted_quadratic(x):
+    return float(((x + 0.4) ** 2).sum())
+
+
+OBJECTIVES = [noisy_staircase, nan_patched, lambda: coupled_quadratic, lambda: shifted_quadratic]
+
+
+def driven(stack, objectives):
+    """Drive a stack to its end: each run's asked points and result."""
+    asked = {run: [] for run in stack.runs}
+    results = {}
+    while stack.runs:
+        points = stack.ask()
+        values = []
+        for run, point in zip(stack.runs, points):
+            asked[run].append(point.tobytes())
+            values.append(objectives[run](point))
+        results.update(stack.tell(values))
+    return asked, results
+
+
+def alone(objective, start, settings):
+    points = []
+    result = minimize(lambda x: points.append(x.tobytes()) or objective(x), start, settings)
+    return points, result
+
+
+def assert_same_search(asked, result, points, single):
+    assert asked == points
+    assert result.history == single.history
+    assert result.n_calls == single.n_calls == len(points)
+    assert result.best_value.hex() == single.best_value.hex()
+    assert result.final_params.tobytes() == single.final_params.tobytes()
+
+
+class TestSearchStack:
+    """A stack of searches steps each run exactly as ``minimize`` steps it
+    alone: its stacked numpy calls must give each row the bits of the single
+    call, on every OpenBLAS core."""
+
+    @pytest.mark.parametrize("k", [3, 4])
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    def test_stacked_searches_equal_their_searches_alone(self, runs, k):
+        # Four objectives in turn (flat steps, nan values, coupled and plain
+        # quadratics) from different starts: the runs stop at different
+        # calls, on the budget or on rho_end.
+        settings = OptimizerSettings(45, 1.0, 1e-3)
+        starts = np.random.default_rng(k).normal(size=(runs, k))
+        make = [OBJECTIVES[r % len(OBJECTIVES)] for r in range(runs)]
+        stack = SearchStack.join([minimize(None, start, settings) for start in starts])
+        asked, results = driven(stack, [factory() for factory in make])
+        assert sorted(results) == list(range(runs))
+        for r in range(runs):
+            assert_same_search(asked[r], results[r], *alone(make[r](), starts[r], settings))
+        if runs == 5:
+            assert len({result.n_calls for result in results.values()}) > 2
+            assert settings.n_max in {result.n_calls for result in results.values()}
+
+    def test_a_singular_span_takes_its_run_alone_to_the_svd_repair(self, monkeypatch):
+        # Run 1 starts at 2^60, where a rho_beg step of 1 rounds away, so its
+        # first span has a zero row: the stacked inv raises, every span is
+        # inverted alone, and run 1 rebuilds that vertex along the null
+        # direction while runs 0 and 2 step as they would alone.
+        svd, calls = np.linalg.svd, []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        settings = OptimizerSettings(40, 1.0, 1e-3)
+        starts = np.array([[0.1, 0.2, 0.3], [2.0**60, 0.0, 0.0], [-0.5, 0.0, 0.5]])
+        singles = [alone(coupled_quadratic, start, settings) for start in starts]
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        stack = SearchStack.join([minimize(None, start, settings) for start in starts])
+        asked, results = driven(stack, [coupled_quadratic] * 3)
+        assert calls and set(calls) == {(3, 3)}
+        for r in range(3):
+            assert_same_search(asked[r], results[r], *singles[r])
+
+    def test_a_failed_evaluation_leaves_the_others_alone(self):
+        # A run told None leaves the stack at once, with no result.
+        settings = OptimizerSettings(60, 1.0, 1e-4)
+        starts = np.random.default_rng(3).normal(size=(3, 3))
+        stack = SearchStack.join([minimize(None, start, settings) for start in starts])
+        asked, results = {0: [], 2: []}, {}
+        while stack.runs:
+            points = stack.ask()
+            values = []
+            for run, point in zip(stack.runs, points):
+                if run in asked:
+                    asked[run].append(point.tobytes())
+                values.append(None if run == 1 and stack.calls == 7 else coupled_quadratic(point))
+            results.update(stack.tell(values))
+        assert sorted(results) == [0, 2]
+        for r in (0, 2):
+            assert_same_search(asked[r], results[r], *alone(coupled_quadratic, starts[r], settings))
+
+    def test_tell_needs_one_value_per_running_search(self):
+        stack = SearchStack(np.zeros((2, 3)), OptimizerSettings(60, 1.0, 1e-4))
+        with pytest.raises(ValueError, match="2 searches need as many values, got 1"):
+            stack.tell([1.0])
+        assert stack.calls == 0
+
+    def test_join_refuses_started_or_mixed_searches(self):
+        settings = OptimizerSettings(60, 1.0, 1e-4)
+        started = minimize(None, np.zeros(2), settings)
+        started.tell([1.0])
+        with pytest.raises(ValueError, match="unstarted"):
+            SearchStack.join([minimize(None, np.zeros(2), settings), started])
+        with pytest.raises(ValueError, match="one budget"):
+            SearchStack.join([minimize(None, np.zeros(2), settings),
+                              minimize(None, np.zeros(2), OptimizerSettings(61, 1.0, 1e-4))])
 
 
 @functools.cache
@@ -289,13 +404,14 @@ class TestPinnedHistory:
         # Steps 3 and 9 see no inverse and rebuild a vertex along the span's
         # null direction.
         steps = []
-        inverse = optimizer._inverse_or_none
+        inverses = optimizer._inverses
 
-        def failing_at_two_steps(span):
+        def failing_at_two_steps(spans):
             steps.append(1)
-            return None if len(steps) in (3, 9) else inverse(span)
+            inv, invertible = inverses(spans)
+            return inv, [ok and len(steps) not in (3, 9) for ok in invertible]
 
-        monkeypatch.setattr(optimizer, "_inverse_or_none", failing_at_two_steps)
+        monkeypatch.setattr(optimizer, "_inverses", failing_at_two_steps)
         got = self.digest(coupled_quadratic, np.zeros(3), OptimizerSettings(80, 1.0, 1e-6))
         assert got == self.pinned(
             SkylakeX=(79, "9befff0e088b6c55ae5531619c0eb8c7b46822ccfa3242c74923f1cf343884af"),
@@ -305,7 +421,8 @@ class TestPinnedHistory:
 
 class TestNormBits:
     """The optimizer's norms are bit for bit ``np.linalg.norm``'s, on both
-    sides of numpy's 8-way unrolled sum and its 128-element pairwise blocks."""
+    sides of numpy's 8-way unrolled sum and its 128-element pairwise blocks,
+    for one run and for each run of a stack."""
 
     SIZES = [1, 7, 9, 129, 100_000]
 
@@ -315,19 +432,34 @@ class TestNormBits:
         rng = np.random.default_rng(size)
         for x in (rng.normal(0.0, 3.0, (4, size)), rng.normal(0.0, 3.0, (size, 4))):
             assert _norms(x, axis=axis).tobytes() == np.linalg.norm(x, axis=axis).tobytes()
+            stack = np.stack([x, 2.0 * x[::-1], rng.normal(0.0, 3.0, x.shape)])
+            for got, one in zip(_norms(stack, axis=axis + 1), stack):
+                assert got.tobytes() == np.linalg.norm(one.copy(), axis=axis).tobytes()
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_vector_norm(self, size):
-        v = np.random.default_rng(size).normal(0.0, 3.0, size)
-        assert _norm(v).hex() == float(np.linalg.norm(v)).hex()
+    @pytest.mark.parametrize("runs", [1, 2, 5])
+    def test_vector_norms_and_dots(self, size, runs):
+        # Row r of a stack starts 8 * size * r bytes into it, off a 16-byte
+        # boundary where size and r are odd.
+        rng = np.random.default_rng(size)
+        a, b = rng.normal(0.0, 3.0, (2, runs, size))
+        norms, dots = np.sqrt(_dots(a, a)), _dots(a, b)
+        for r in range(runs):
+            v, w = a[r].copy(), b[r].copy()
+            assert norms[r].hex() == float(np.linalg.norm(v)).hex()
+            assert dots[r].hex() == float(v @ w).hex()
 
     @pytest.mark.parametrize("size", SIZES)
-    def test_non_contiguous_column_norm(self, size):
-        x = np.random.default_rng(size).normal(0.0, 3.0, (size, 5))
-        for j in range(5):
-            column = x[:, j]
+    def test_gathered_column_norms(self, size):
+        # A repair gathers column j[r] of run r's inverse, as np.linalg.norm
+        # of the strided column copies it.
+        x = np.random.default_rng(size).normal(0.0, 3.0, (3, size, 5))
+        rows, columns = np.array([0, 1, 2, 2]), np.array([4, 0, 1, 3])
+        norms = np.sqrt(_dots(x[rows, :, columns], x[rows, :, columns]))
+        for got, r, j in zip(norms, rows, columns):
+            column = x[r, :, j]
             assert not column.flags.c_contiguous or size == 1
-            assert _norm(column).hex() == float(np.linalg.norm(column)).hex()
+            assert got.hex() == float(np.linalg.norm(column)).hex()
 
 
 class TestSignCertificate:
@@ -352,14 +484,14 @@ class TestSignCertificate:
                     span[-1] = span[0] + 1e-9 * rng.normal(size=k)
                 else:
                     span = (q1 * np.logspace(0, -log_cond, k)) @ q2
-                inv = optimizer._inverse_or_none(span)
-                if inv is None:
+                (inv,), (invertible,) = optimizer._inverses(span[None])
+                if not invertible:
                     continue
                 for zeros in range(k + 1):
                     df = rng.normal(size=k)
                     df[rng.permutation(k)[:zeros]] = 0.0
                     for j in range(k):
-                        step = 0.5 * inv[:, j] / _norm(inv[:, j])
+                        step = 0.5 * inv[:, j] / np.linalg.norm(inv[:, j])
                         yield log_cond, span, inv, df, step, j
                         yield log_cond, span, inv, df, -step, j
 
@@ -372,17 +504,19 @@ class TestSignCertificate:
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         decided, fallbacks = Counter(), Counter()
-        for log_cond, span, inv, df, step, j in self.cases():
+        cases, flips = list(self.cases()), []
+        for log_cond, span, inv, df, step, j in cases:
             g = lstsq(span, df, rcond=None)[0]
             flip = bool(np.isfinite(g).all() and float(g @ step) > 0.0)
+            flips.append(flip)
             before = len(calls)
-            got = optimizer._orient_downhill(step, span, df, inv)
-            assert got is step or np.array_equal(got, -step)
-            assert (got is not step) == flip
+            (got,) = optimizer._orient_downhill(step[None], span[None], df[None], inv[None],
+                                                (inv @ df)[None])
+            assert np.array_equal(got, -step if flip else step)
             (decided if len(calls) == before else fallbacks)[log_cond] += 1
             if not df.any():
                 # both solves give a zero gradient: no flip, and no lstsq
-                assert len(calls) == before and got is step
+                assert len(calls) == before and not flip
             elif log_cond == 0 and len(calls) > before:
                 # An orthogonal span's slope along column j of its inverse
                 # is df[j] / 2: only a zero one is left to lstsq.
@@ -390,6 +524,15 @@ class TestSignCertificate:
         assert decided[0] > fallbacks[0] > 0
         assert sum(decided.values()) > sum(fallbacks.values())
         assert fallbacks[16] > fallbacks[0]
+        # Each k's cases as one stack: the same flips, and one lstsq per
+        # case left to it.
+        before = len(calls)
+        for k in (3, 6, 12):
+            rows = [(case, flip) for case, flip in zip(cases, flips) if len(case[4]) == k]
+            step, span, df, inv = (np.array([case[n] for case, _ in rows]) for n in (4, 1, 3, 2))
+            got = optimizer._orient_downhill(step, span, df, inv, np.matmul(inv, df[:, :, None])[:, :, 0])
+            assert np.array_equal(got, np.where(np.array([f for _, f in rows])[:, None], -step, step))
+        assert len(calls) - before == sum(fallbacks.values())
 
     def test_without_an_inverse_every_repair_calls_lstsq(self, monkeypatch):
         lstsq, calls = np.linalg.lstsq, []
@@ -400,5 +543,5 @@ class TestSignCertificate:
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
         for df in (np.zeros(3), np.ones(3)):
-            optimizer._orient_downhill(np.ones(3), np.eye(3), df)
+            optimizer._orient_downhill(np.ones((1, 3)), np.eye(3)[None], df[None])
         assert len(calls) == 2
