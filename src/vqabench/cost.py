@@ -72,19 +72,22 @@ def cost_estimate(
     cost_table: np.ndarray,
     alpha: float,
     shots: int,
-    rng: np.random.Generator,
-) -> float:
-    """One objective evaluation: build, sample, price, CVaR.
+    rng,
+):
+    """One objective evaluation: build, sample, price, CVaR; or the list of
+    those of each row of ``(R, k)`` points with ``rng`` R generators.
 
-    Builds the ansatz state for ``params`` in this thread's
-    ``state_buffers`` and returns ``sampled_cvar`` of it: the CVaR_alpha of
-    ``shots`` bitstrings drawn from it and priced by lookup in
-    ``cost_table``, which is checked before the build. One invocation
+    Builds the ansatz states of ``params`` in this thread's
+    ``state_buffers`` and returns ``sampled_cvar`` of them: the CVaR_alpha
+    of ``shots`` bitstrings drawn from each and priced by lookup in
+    ``cost_table``, which is checked before the build. Row r's value is the
+    bits of the single call on ``params[r]`` and ``rng[r]``. One evaluation
     corresponds to one quantum circuit evaluated when counting optimizer
     calls.
     """
     _check_table(cost_table, 1 << spec.n_qubits)
-    state = build_statevector(spec, params, buffers=state_buffers(spec.n_qubits))
+    rows = len(params) if np.ndim(params) == 2 else None
+    state = build_statevector(spec, params, buffers=state_buffers(spec.n_qubits, rows))
     return sampled_cvar(state, cost_table, alpha, shots, rng)
 
 

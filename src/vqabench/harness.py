@@ -37,7 +37,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .circuit import AnsatzSpec, build_statevector, exact_p_min, state_buffers
-from .cost import cost_estimate, sampled_cvar
+from .cost import cost_estimate
 from .metrics import (
     ESTIMATES,
     GRID_BINS,
@@ -51,7 +51,7 @@ from .metrics import (
     normalize,
     quality_level_curve,
 )
-from .optimizer import OptimizerSettings, SearchStack, check_start, minimize
+from .optimizer import OptimizerSettings, check_start, minimize
 from .qubo import QuboInstance, all_costs, brute_force_minimum, check_enumerable, random_qubo
 
 RECORDS_FILENAME = "records.jsonl"
@@ -358,20 +358,20 @@ def run_block(
     """Execute seeded optimization runs of one cell in lockstep and package
     their records, in the order of ``run_indices``.
 
-    Each run's search is made alone (``minimize(None, ...)``) and the block's
-    searches step as one SearchStack; each run's generator derives only from
-    (master_seed, config_id, run_index). At each step the running searches'
-    points are built as one batch of states, whose row r holds the bits of
-    the single build, and the batch and the runs' generators go to
-    ``sampled_cvar`` in one call, which samples, prices and reduces each row
-    to CVaR with its own run's generator, so every record equals the one of
-    the run computed alone (wall_time aside). When the batch raises, the
-    runs' generators go back to their states before the step and each run is
-    evaluated alone by ``cost_estimate``. A run whose search cannot be made
-    or whose evaluation raises is recorded with the error while the others
-    go on; a search step that raises fails every run it held. A run's
-    ``wall_time`` is its share of the block: each step's time split equally
-    among the runs it advanced, plus the run's own final build.
+    The block's searches are made as one SearchStack
+    (``minimize(None, starts, ...)``), and each run's generator derives only
+    from (master_seed, config_id, run_index). At each step the running
+    searches' points and the runs' generators go to ``cost_estimate`` in one
+    call, which builds the points as one batch of states and samples,
+    prices and reduces each row to CVaR with its own run's generator, each
+    row the bits of the single call, so every record equals the one of the
+    run computed alone (wall_time aside). When the batch raises, the runs'
+    generators go back to their states before the step and each run is
+    evaluated alone by ``cost_estimate``. A run whose evaluation raises is
+    recorded with the error while the others go on; a failure to make the
+    searches, or a search step that raises, fails every run it held. A
+    run's ``wall_time`` is its share of the block: each step's time split
+    equally among the runs it advanced, plus the run's own final build.
     """
     clock = time.perf_counter()
     cid = config_id(alpha, shots)
@@ -380,26 +380,25 @@ def run_block(
                   seed=run_seed(ctx.master_seed, cid, i))
         for i in run_indices
     ]
-    # The searched runs as (record, generator), numbered as the stack's runs.
-    runs, searches = [], []
     for rec in records:
         rec.wall_time = 0.0
-        try:
-            searches.append(minimize(None, ctx.initial_params, ctx.settings))
-            runs.append((rec, np.random.default_rng(rec.seed)))
-        except Exception as exc:  # a failed run is recorded, never dropped
+    # The runs as (record, generator), numbered as the stack's runs.
+    runs = [(rec, np.random.default_rng(rec.seed)) for rec in records]
+    try:
+        stack = minimize(None, np.repeat(ctx.initial_params[None], len(runs), axis=0), ctx.settings)
+    except Exception as exc:  # a failed run is recorded, never dropped
+        stack = None
+        for rec in records:
             rec.error = _error(exc)
     clock = _charge(records, clock)
     n = ctx.spec.n_qubits
-    stack = SearchStack.join(searches) if searches else None
     while stack is not None and stack.runs:
         stepped = [runs[i] for i in stack.runs]
         points = stack.ask()
         gens = [rng for _, rng in stepped]
         held = [rng.bit_generator.state for rng in gens]
         try:
-            states = build_statevector(ctx.spec, points, buffers=state_buffers(n, len(points)))
-            values = sampled_cvar(states, ctx.cost_table, alpha, shots, gens)
+            values = cost_estimate(ctx.spec, points, ctx.cost_table, alpha, shots, gens)
         except Exception:
             # Some row failed: each run is evaluated alone from its
             # generator's state before the step, so only a failing run errs

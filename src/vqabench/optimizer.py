@@ -29,8 +29,8 @@ runs as a stack: R searches of one budget step together, each step's array
 work done in single numpy calls over the stack, whose row r holds the bits
 of the call on search r alone. ``minimize`` with an objective drives a
 stack of one, one call at a time; a caller that advances many runs in
-lockstep joins their stacks (SearchStack.join) and evaluates each step's
-points as a batch.
+lockstep makes one stack of their starts (``minimize(None, starts, ...)``)
+and evaluates each step's points as a batch.
 """
 
 from __future__ import annotations
@@ -90,15 +90,15 @@ def minimize(objective, initial: np.ndarray, settings: OptimizerSettings):
     calls consumed, and the value of every call in order (``history[i]`` is
     call i + 1; non-finite values are stored as +inf).
 
-    With ``objective`` None the search is returned unstarted as a
-    SearchStack of one, to be joined with others (SearchStack.join) or
-    driven by ask and tell; driving it with ``objective`` is the same
-    sequence of points and floating-point steps. The start point and the
-    budget are checked (check_start) before the stack is made.
+    With ``objective`` None, ``initial`` is one start point or an ``(R, k)``
+    array of R, and their searches are returned unstarted as one
+    SearchStack, to be driven by ask and tell; each run's points and
+    floating-point steps are those of driving its start alone with an
+    objective. Each start point and the budget are checked (check_start)
+    before the stack is made.
     """
     x0 = np.array(initial, dtype=np.float64)
-    check_start(x0, settings)
-    stack = SearchStack(x0[None], settings)
+    stack = SearchStack(x0 if objective is None and x0.ndim == 2 else x0[None], settings)
     if objective is None:
         return stack
     while True:
@@ -163,13 +163,6 @@ class SearchStack:
         self.x, self.slot, self.inv = starts.copy(), [0] * n, None
         self.judge: dict[int, tuple[float, float]] = {}
 
-    @staticmethod
-    def join(stacks) -> "SearchStack":
-        """One stack of the runs of unstarted stacks of one budget, in order."""
-        if any(s.calls for s in stacks) or len({s.settings for s in stacks}) != 1:
-            raise ValueError("only unstarted searches of one budget can be joined")
-        return SearchStack(np.concatenate([s.x for s in stacks]), stacks[0].settings)
-
     def ask(self) -> np.ndarray:
         return self.x.copy()
 
@@ -230,14 +223,13 @@ class SearchStack:
                 fvals[i, j] = fx[i]
 
     def _advance(self) -> list[tuple[int, OptimizationResult]]:
-        """Choose each running search's next point, after those whose budget
-        is spent or whose radius fell below rho_end have finished."""
+        """Choose each running search's next point, or finish the search:
+        all of them when the budget is spent, and each whose radius is below
+        rho_end, whether a rejected model step or this step's shrinks took
+        it there."""
         s = self.settings
         if self.calls >= s.n_max:
             return self._finish(range(len(self.runs)))
-        done = self._finish([i for i, radius in enumerate(self.rho) if radius < s.rho_end])
-        if not self.runs:
-            return done
         verts, fvals, rho, n = self.verts, self.fvals, self.rho, len(self.runs)
         # Pivot each best vertex (the pole) into row 0.
         for i, b in enumerate(fvals.argmin(axis=1).tolist()):
@@ -262,13 +254,13 @@ class SearchStack:
             # vertex; with one, the longest's if it is too long, else the
             # thinnest's if it is too thin, else take the model step.
             slot, judge, scale = [0] * n, {}, [0.0] * n
-            singular, far, stopped = [], [], []
+            far, stopped = [], []
             for i, ok in enumerate(invertible):
-                if not ok:
-                    singular.append(i)
-                    continue
                 radius = rho[i]
-                while True:
+                while radius >= s.rho_end:
+                    if not ok:
+                        slot[i] = int(lengths[i].argmin()) + 1
+                        break
                     if longest[i] > _BETA * radius:
                         far.append(i)
                         break
@@ -284,9 +276,8 @@ class SearchStack:
                         judge[i], scale[i] = (fpole[i], predicted), radius / gnorm[i]
                         break
                     radius *= _SHRINK
-                    if radius < s.rho_end:
-                        stopped.append(i)
-                        break
+                else:
+                    stopped.append(i)
                 rho[i] = radius
             if far:
                 widest = lengths.argmax(axis=1).tolist()
@@ -296,19 +287,18 @@ class SearchStack:
             # Geometry repair: rebuild vertex j+1 at half the trust radius,
             # along the orthogonal-complement direction of an invertible span,
             # else along its null direction.
-            repair = [i for i, j in enumerate(slot) if j and invertible[i]]
+            repair = [i for i, j in enumerate(slot) if j]
             if repair:
                 rows = repair if len(repair) < n else slice(None)
-                col = inv[repair, :, [slot[i] - 1 for i in repair]]
-                direction = col / np.sqrt(_dots(col, col))[:, None]
+                direction = inv[repair, :, [slot[i] - 1 for i in repair]]
+                direction /= np.sqrt(_dots(direction, direction))[:, None]
+                for r, i in enumerate(repair):
+                    if not invertible[i]:
+                        direction[r] = np.linalg.svd(span[i])[2][-1]
                 steps = np.array([_GEOM_FRACTION * rho[i] for i in repair])[:, None] * direction
                 x[rows] = pole[rows] + _orient_downhill(steps, span[rows], df[rows], inv[rows], g[rows])
-            for i in singular:
-                slot[i] = int(lengths[i].argmin()) + 1
-                step = _GEOM_FRACTION * rho[i] * np.linalg.svd(span[i])[2][-1]
-                x[i] = pole[i] + _orient_downhill(step[None], span[i : i + 1], df[i : i + 1])[0]
         self.x, self.slot, self.judge, self.inv = x, slot, judge, inv
-        return done + self._finish(stopped)
+        return self._finish(stopped)
 
     def _finish(self, ended) -> list[tuple[int, OptimizationResult]]:
         """Take the ``ended`` runs (positions in the stack) out of it and
@@ -351,8 +341,7 @@ def _inverses(spans: np.ndarray) -> tuple[np.ndarray, list[bool]]:
 
 
 def _orient_downhill(
-    steps: np.ndarray, spans: np.ndarray, dfs: np.ndarray,
-    invs: np.ndarray | None = None, grads: np.ndarray | None = None,
+    steps: np.ndarray, spans: np.ndarray, dfs: np.ndarray, invs: np.ndarray, grads: np.ndarray
 ) -> np.ndarray:
     """Flip each row's geometry step so the least-squares model of its span
     and ``df`` predicts descent.
@@ -364,24 +353,25 @@ def _orient_downhill(
     norms of g and step. Both solves lie within a few eps * cond(span) * |g|
     of the exact gradient, so the guard leaves a margin of about 1e4; the
     tests check that a decided flip is ``lstsq``'s on spans of condition
-    number 1 to 1e16. A row whose ``df`` is not finite keeps its step.
+    number 1 to 1e16. A singular span's inverse and gradient are NaN
+    (``_inverses``), so its slope is never certain and a sloped ``df`` goes
+    to ``lstsq``. A row whose ``df`` is not finite keeps its step.
     """
     n = len(steps)
     finite = np.logical_and.reduce(np.isfinite(dfs), axis=1).tolist()
-    if invs is not None:
-        sloped = np.logical_or.reduce(dfs, axis=1).tolist()
-        slopes = _dots(grads, steps).tolist()
-        mats = np.concatenate((spans.reshape(n, -1), invs.reshape(n, -1)))
-        vecs = np.concatenate((grads, steps))
-        span_norm, inv_norm = np.sqrt(_dots(mats, mats)).reshape(2, n)
-        g_norm, step_norm = np.sqrt(_dots(vecs, vecs)).reshape(2, n)
-        guards = (_SIGN_GUARD * span_norm * inv_norm * g_norm * step_norm).tolist()
+    sloped = np.logical_or.reduce(dfs, axis=1).tolist()
+    slopes = _dots(grads, steps).tolist()
+    mats = np.concatenate((spans.reshape(n, -1), invs.reshape(n, -1)))
+    vecs = np.concatenate((grads, steps))
+    span_norm, inv_norm = np.sqrt(_dots(mats, mats)).reshape(2, n)
+    g_norm, step_norm = np.sqrt(_dots(vecs, vecs)).reshape(2, n)
+    guards = (_SIGN_GUARD * span_norm * inv_norm * g_norm * step_norm).tolist()
     signs = []
     for r in range(n):
         flip = False
-        if not finite[r] or invs is not None and not sloped[r]:
+        if not finite[r] or not sloped[r]:
             pass
-        elif invs is not None and abs(slopes[r]) > guards[r]:
+        elif abs(slopes[r]) > guards[r]:
             flip = slopes[r] > 0.0
         else:
             g = np.linalg.lstsq(spans[r], dfs[r], rcond=None)[0]

@@ -168,23 +168,54 @@ class TestCostEstimate:
         ],
         ids=["short", "long", "2-d", "float32", "int64", "list"],
     )
-    def test_wrong_cost_table_refused_before_the_build(self, monkeypatch, table):
+    @pytest.mark.parametrize("rows", [None, 3], ids=["one-point", "three-points"])
+    def test_wrong_cost_table_refused_before_the_build(self, monkeypatch, table, rows):
         # Pricing clips each draw into the table and writes the costs over
         # the draws as float64, so a table of another length would price
         # silently wrong and one of another dtype could not be written.
         spec = AnsatzSpec(6, 1)
         good = all_costs(random_qubo(6, seed=3))
-        params = np.random.default_rng(3).uniform(-3, 3, spec.num_parameters)
-        rng = np.random.default_rng(4)
-        before = rng.bit_generator.state
+        shape = spec.num_parameters if rows is None else (rows, spec.num_parameters)
+        params = np.random.default_rng(3).uniform(-3, 3, shape)
+        gens = [np.random.default_rng(4 + r) for r in range(rows or 1)]
+        before = [g.bit_generator.state for g in gens]
 
         def build(*args, **kwargs):
             raise AssertionError("the state was built for a refused table")
 
         monkeypatch.setattr(cost, "build_statevector", build)
         with pytest.raises(ValueError, match="cost_table"):
-            cost_estimate(spec, params, table(good), 0.25, 1000, rng)
-        assert rng.bit_generator.state == before
+            cost_estimate(spec, params, table(good), 0.25, 1000, gens[0] if rows is None else gens)
+        assert [g.bit_generator.state for g in gens] == before
+
+    @pytest.mark.parametrize("rows", [1, 3, 16])
+    @pytest.mark.parametrize("shots", [10, 1_000, _CHUNK + 1])
+    def test_points_equal_their_single_calls(self, rows, shots):
+        # (R, k) points with R generators: each row's value is the bits of
+        # the single call on that point and generator, which ends where the
+        # single call leaves it. 10 < 0.4 * 2^6 <= 1 000 < _CHUNK + 1.
+        spec = AnsatzSpec(6, 2)
+        table = all_costs(random_qubo(6, seed=3))
+        params = np.random.default_rng(rows).uniform(-3, 3, (rows, spec.num_parameters))
+        batch = [np.random.default_rng(100 + r) for r in range(rows)]
+        alone = [np.random.default_rng(100 + r) for r in range(rows)]
+        got = cost_estimate(spec, params, table, 0.25, shots, batch)
+        expected = [
+            cost_estimate(spec, point, table, 0.25, shots, rng) for point, rng in zip(params, alone)
+        ]
+        assert [v.hex() for v in got] == [v.hex() for v in expected]
+        assert [g.bit_generator.state for g in batch] == [g.bit_generator.state for g in alone]
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_points_refuse_a_generator_count_other_than_r(self, count):
+        spec = AnsatzSpec(6, 1)
+        table = all_costs(random_qubo(6, seed=3))
+        params = np.random.default_rng(3).uniform(-3, 3, (3, spec.num_parameters))
+        gens = [np.random.default_rng(r) for r in range(count)]
+        fresh = [g.bit_generator.state for g in gens]
+        with pytest.raises(ValueError, match=f"3 states need as many generators, got {count}"):
+            cost_estimate(spec, params, table, 0.25, 100, gens)
+        assert [g.bit_generator.state for g in gens] == fresh
 
     @staticmethod
     @functools.lru_cache(maxsize=None)

@@ -673,6 +673,25 @@ class TestRunBlock:
         for i in (0, 2, 3):
             assert block[i].to_json_line() == singles[i].to_json_line()
 
+    def test_searches_that_cannot_be_made_fail_every_run_of_the_block(self, monkeypatch):
+        # The block's searches are made in one call, so its error goes to
+        # every record, and no run is evaluated.
+        ctx = prepare_context(tiny_config())
+
+        def failing(*args, **kwargs):
+            raise RuntimeError("no search")
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a run without a search was evaluated")
+
+        monkeypatch.setattr(harness, "minimize", failing)
+        monkeypatch.setattr(harness, "cost_estimate", unreachable)
+        block = harness.run_block(ctx, 1.0, 20, range(3))
+        assert [rec.run_index for rec in block] == [0, 1, 2]
+        for rec in block:
+            assert rec.error == "RuntimeError: no search"
+            assert (rec.n_calls, rec.p_min, rec.best_cost) == (None, None, None)
+
     def test_a_search_step_that_raises_fails_every_run_it_held(self, monkeypatch):
         # The block's searches step as one stack, so a step that raises takes
         # every run still in it, and each gets the error instead of an outcome.

@@ -181,6 +181,8 @@ class TestDeterminism:
     def test_ask_tell_search_checks_its_start_before_it_is_made(self):
         with pytest.raises(ValueError, match="finite"):
             minimize(None, np.array([0.0, math.nan]), OptimizerSettings(100))
+        with pytest.raises(ValueError, match="finite"):
+            minimize(None, np.array([[0.0, 0.0], [0.0, math.nan]]), OptimizerSettings(100))
         with pytest.raises(ValueError, match="n_max"):
             minimize(None, np.zeros(4), OptimizerSettings(n_max=5))
 
@@ -278,7 +280,7 @@ class TestSearchStack:
         settings = OptimizerSettings(45, 1.0, 1e-3)
         starts = np.random.default_rng(k).normal(size=(runs, k))
         make = [OBJECTIVES[r % len(OBJECTIVES)] for r in range(runs)]
-        stack = SearchStack.join([minimize(None, start, settings) for start in starts])
+        stack = minimize(None, starts, settings)
         asked, results = driven(stack, [factory() for factory in make])
         assert sorted(results) == list(range(runs))
         for r in range(runs):
@@ -286,6 +288,28 @@ class TestSearchStack:
         if runs == 5:
             assert len({result.n_calls for result in results.values()}) > 2
             assert settings.n_max in {result.n_calls for result in results.values()}
+
+    def test_rho_end_stops_a_rejected_step_and_a_shrink_in_one_step(self, monkeypatch):
+        # At call 17 run 2 comes in below rho_end, after a rejected model
+        # step, and run 1's shrinks take it below in the same step: both
+        # finish there, each as it would alone.
+        settings = OptimizerSettings(60, 1.0, 1e-2)
+        starts = np.random.default_rng(9).normal(size=(3, 2))
+        make = OBJECTIVES[:3]
+        advance, steps = SearchStack._advance, []
+
+        def recorded(stack):
+            below = {stack.runs[i] for i, r in enumerate(stack.rho) if r < settings.rho_end}
+            done = advance(stack)
+            steps.append((stack.calls, below, {run for run, _ in done}))
+            return done
+
+        monkeypatch.setattr(SearchStack, "_advance", recorded)
+        asked, results = driven(minimize(None, starts, settings), [f() for f in make])
+        assert (17, {2}, {1, 2}) in steps
+        assert results[1].n_calls == results[2].n_calls == 17
+        for r in range(3):
+            assert_same_search(asked[r], results[r], *alone(make[r](), starts[r], settings))
 
     def test_a_singular_span_takes_its_run_alone_to_the_svd_repair(self, monkeypatch):
         # Run 1 starts at 2^60, where a rho_beg step of 1 rounds away, so its
@@ -302,7 +326,7 @@ class TestSearchStack:
         starts = np.array([[0.1, 0.2, 0.3], [2.0**60, 0.0, 0.0], [-0.5, 0.0, 0.5]])
         singles = [alone(coupled_quadratic, start, settings) for start in starts]
         monkeypatch.setattr(np.linalg, "svd", counted)
-        stack = SearchStack.join([minimize(None, start, settings) for start in starts])
+        stack = minimize(None, starts, settings)
         asked, results = driven(stack, [coupled_quadratic] * 3)
         assert calls and set(calls) == {(3, 3)}
         for r in range(3):
@@ -312,7 +336,7 @@ class TestSearchStack:
         # A run told None leaves the stack at once, with no result.
         settings = OptimizerSettings(60, 1.0, 1e-4)
         starts = np.random.default_rng(3).normal(size=(3, 3))
-        stack = SearchStack.join([minimize(None, start, settings) for start in starts])
+        stack = minimize(None, starts, settings)
         asked, results = {0: [], 2: []}, {}
         while stack.runs:
             points = stack.ask()
@@ -331,16 +355,6 @@ class TestSearchStack:
         with pytest.raises(ValueError, match="2 searches need as many values, got 1"):
             stack.tell([1.0])
         assert stack.calls == 0
-
-    def test_join_refuses_started_or_mixed_searches(self):
-        settings = OptimizerSettings(60, 1.0, 1e-4)
-        started = minimize(None, np.zeros(2), settings)
-        started.tell([1.0])
-        with pytest.raises(ValueError, match="unstarted"):
-            SearchStack.join([minimize(None, np.zeros(2), settings), started])
-        with pytest.raises(ValueError, match="one budget"):
-            SearchStack.join([minimize(None, np.zeros(2), settings),
-                              minimize(None, np.zeros(2), OptimizerSettings(61, 1.0, 1e-4))])
 
 
 @functools.cache
@@ -401,15 +415,17 @@ class TestPinnedHistory:
         )
 
     def test_rank_deficient_steps(self, monkeypatch):
-        # Steps 3 and 9 see no inverse and rebuild a vertex along the span's
-        # null direction.
+        # Steps 3 and 9 see no inverse, as _inverses leaves a singular span
+        # (NaN), and rebuild a vertex along the span's null direction, its
+        # sign from lstsq.
         steps = []
         inverses = optimizer._inverses
 
         def failing_at_two_steps(spans):
             steps.append(1)
-            inv, invertible = inverses(spans)
-            return inv, [ok and len(steps) not in (3, 9) for ok in invertible]
+            if len(steps) in (3, 9):
+                return np.full_like(spans, math.nan), [False] * len(spans)
+            return inverses(spans)
 
         monkeypatch.setattr(optimizer, "_inverses", failing_at_two_steps)
         got = self.digest(coupled_quadratic, np.zeros(3), OptimizerSettings(80, 1.0, 1e-6))
@@ -534,7 +550,10 @@ class TestSignCertificate:
             assert np.array_equal(got, np.where(np.array([f for _, f in rows])[:, None], -step, step))
         assert len(calls) - before == sum(fallbacks.values())
 
-    def test_without_an_inverse_every_repair_calls_lstsq(self, monkeypatch):
+    def test_a_singular_span_calls_lstsq_only_for_a_sloped_df(self, monkeypatch):
+        # A singular span has NaN for its inverse and its gradient
+        # (_inverses), so no slope is certain: a flat df keeps its step
+        # without lstsq, and a sloped one flips as lstsq's gradient says.
         lstsq, calls = np.linalg.lstsq, []
 
         def counted(*args, **kwargs):
@@ -542,6 +561,18 @@ class TestSignCertificate:
             return lstsq(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "lstsq", counted)
-        for df in (np.zeros(3), np.ones(3)):
-            optimizer._orient_downhill(np.ones((1, 3)), np.eye(3)[None], df[None])
-        assert len(calls) == 2
+        span = np.diag([1.0, 1.0, 0.0])
+        (inv,), (invertible,) = optimizer._inverses(span[None])
+        assert not invertible and np.isnan(inv).all()
+        step = np.array([0.5, -0.5, 0.5])
+        for df, flip, lstsq_calls in [
+            (np.zeros(3), False, 0),
+            (np.array([1.0, 0.0, 0.0]), True, 1),
+            (np.array([-1.0, 0.0, 0.0]), False, 1),
+            (np.array([0.0, 1.0, 0.0]), False, 1),
+        ]:
+            calls.clear()
+            (got,) = optimizer._orient_downhill(step[None], span[None], df[None], inv[None],
+                                                (inv @ df)[None])
+            assert np.array_equal(got, -step if flip else step)
+            assert len(calls) == lstsq_calls
